@@ -6,8 +6,9 @@
 // the corresponding paper table or figure reports.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,20 +29,62 @@ struct BenchArgs {
   /// bit-identical at every N; only wall-clock changes. 0 (the default)
   /// keeps the classic sequential loop and byte-identical artifacts.
   std::size_t threads = 0;
+  /// --trace PATH: byz_soak re-runs one attack with causal tracing on and
+  /// exports the spans to PATH; the other benches ignore it. Empty = off.
+  std::string trace;
 };
 
+inline void print_usage(std::FILE* out, const char* prog) {
+  std::fprintf(out,
+               "usage: %s [--full] [--seed N] [--threads N] [--timeseries] [--trace PATH]\n"
+               "  --full        paper-scale grid instead of the scaled default\n"
+               "  --seed N      base seed (default 1)\n"
+               "  --threads N   wave-parallel harness drive with N workers (default 0)\n"
+               "  --timeseries  append per-period time-series rows (soak benches)\n"
+               "  --trace PATH  export a traced re-run as Perfetto JSON (byz_soak)\n",
+               prog);
+}
+
+/// Parses the shared bench flags. --help prints the usage and exits 0; an
+/// unknown flag, a missing value or a value that is not a decimal number
+/// in range prints the usage to stderr and exits 2.
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
+  const auto fail = [&](const std::string& why) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+    print_usage(stderr, argv[0]);
+    std::exit(2);
+  };
+  const auto value = [&](int& i) -> std::string {
+    if (i + 1 >= argc) fail(std::string("missing value for ") + argv[i]);
+    return argv[++i];
+  };
+  const auto number = [&](int& i) -> std::uint64_t {
+    const std::string flag = argv[i];
+    const std::string text = value(i);
+    const bool digits = !text.empty() && text.find_first_not_of("0123456789") == std::string::npos;
+    errno = 0;
+    const std::uint64_t v = digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE) fail("malformed value for " + flag + ": '" + text + "'");
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
+    const std::string a = argv[i];
+    if (a == "--help" || a == "-h") {
+      print_usage(stdout, argv[0]);
+      std::exit(0);
+    } else if (a == "--full") {
       args.full = true;
-    } else if (std::strcmp(argv[i], "--timeseries") == 0) {
+    } else if (a == "--timeseries") {
       args.timeseries = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      args.threads = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+    } else if (a == "--seed") {
+      args.seed = number(i);
+    } else if (a == "--threads") {
+      args.threads = static_cast<std::size_t>(number(i));
+    } else if (a == "--trace") {
+      args.trace = value(i);
+    } else {
+      fail("unknown argument '" + a + "'");
     }
   }
   return args;

@@ -21,7 +21,6 @@
 // byz_soak_common.hpp, shared with bench/sampler_compare.
 //
 // Emits BENCH_byz_soak.json (JSON-lines, one row per attack config).
-#include <cstring>
 
 #include "byz_soak_common.hpp"
 
@@ -34,10 +33,7 @@ int main(int argc, char** argv) {
   // and export the spans as Perfetto JSON (plus <path>.spans.jsonl for
   // accountnet-trace). Kept out of the grid runs so BENCH rows are identical
   // with and without the flag.
-  std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) trace_out = argv[i + 1];
-  }
+  const std::string& trace_out = args.trace;
   bench::print_header("byz_soak",
                       "Byzantine soak — active adversaries vs the "
                       "accuse/quarantine/evict pipeline (cf. Figs. 14/18)",

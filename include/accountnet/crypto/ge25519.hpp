@@ -1,8 +1,9 @@
 // Group operations on edwards25519 (twisted Edwards curve, a = -1,
 // d = -121665/121666), extended coordinates (X : Y : Z : T), T = XY/Z.
 //
-// Provides compression/decompression per RFC 8032 §5.1.3 and variable-base
-// scalar multiplication; enough for Ed25519 and ECVRF.
+// Provides compression/decompression per RFC 8032 §5.1.3, variable-base,
+// fixed-base (table-driven) and two-point joint scalar multiplication; enough
+// for Ed25519 and ECVRF. Every operation is variable-time.
 #pragma once
 
 #include <array>
@@ -15,7 +16,8 @@ namespace accountnet::crypto {
 
 class Ge25519 {
  public:
-  /// Neutral element (0, 1).
+  /// Neutral element (0, 1); so is a default-constructed point.
+  Ge25519() : x_(), y_(Fe25519::one()), z_(Fe25519::one()), t_() {}
   static Ge25519 identity();
 
   /// The standard base point B (y = 4/5, x positive... RFC 8032 sign rules).
@@ -29,11 +31,15 @@ class Ge25519 {
 
   Ge25519 add(const Ge25519& rhs) const;
   Ge25519 dbl() const;
+  /// 2^n * P by n doublings, computing T only in the last one.
+  Ge25519 dbl_times(int n) const;
   Ge25519 negate() const;
   Ge25519 sub(const Ge25519& rhs) const { return add(rhs.negate()); }
 
   /// scalar * P; `scalar_le` is a 32-byte little-endian integer (interpreted
   /// mod the group structure implicitly; callers pass reduced scalars).
+  /// 4-bit fixed window: 14 additions for the table, then per nonzero nibble
+  /// one addition, with four doublings between nibbles.
   Ge25519 scalar_mul(const std::array<std::uint8_t, 32>& scalar_le) const;
 
   /// 8 * P (clears the cofactor).
@@ -45,13 +51,28 @@ class Ge25519 {
  private:
   Ge25519(Fe25519 x, Fe25519 y, Fe25519 z, Fe25519 t) : x_(x), y_(y), z_(z), t_(t) {}
 
+  /// An affine point in the (y + x, y - x, 2d*x*y) form the fixed-base
+  /// table stores (defined in ge25519.cpp).
+  struct Precomp;
+  /// this + p, or this - p when `negate`; mixed addition (Z of p is 1).
+  Ge25519 madd(const Precomp& p, bool negate) const;
+  friend Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le);
+
   Fe25519 x_;
   Fe25519 y_;
   Fe25519 z_;
   Fe25519 t_;
 };
 
-/// scalar * B for the standard base point.
+/// scalar * B for the standard base point. Reads a table of j * 16^i * B
+/// (i < 64, 1 <= j <= 8; 512 affine points, ~60 KB) built on first use, so a
+/// multiplication is one mixed addition per nonzero signed radix-16 digit and
+/// no doublings. Scalars >= 2^255 are reduced mod L first.
 Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le);
+
+/// a * P + b * Q with one shared doubling chain (Straus, 4-bit windows);
+/// equals P.scalar_mul(a).add(Q.scalar_mul(b)) for about half the doublings.
+Ge25519 ge_double_scalar_mul(const Ge25519& p, const std::array<std::uint8_t, 32>& a,
+                             const Ge25519& q, const std::array<std::uint8_t, 32>& b);
 
 }  // namespace accountnet::crypto

@@ -1,9 +1,9 @@
 // Scalar arithmetic modulo the edwards25519 group order
 // L = 2^252 + 27742317777372353535851937790883648493.
 //
-// Scalars are canonical 32-byte little-endian integers < L. Reduction uses a
-// small fixed-width big-integer with shift-subtract long division: trivially
-// auditable, and its cost is negligible next to scalar multiplication.
+// Scalars are canonical 32-byte little-endian integers < L. Reduction of up
+// to 512-bit values is Barrett reduction on 64-bit limbs (one 5x5-limb
+// quotient estimate, one partial product, at most two final subtractions).
 #pragma once
 
 #include <array>

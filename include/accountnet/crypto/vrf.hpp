@@ -29,6 +29,10 @@ using VrfOutput = std::array<std::uint8_t, kVrfOutputSize>;
 /// Computes the proof pi for input alpha under the Ed25519 keypair.
 VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha);
 
+/// The output beta for alpha, equal to vrf_proof_to_hash(vrf_prove(kp,
+/// alpha)) but computing only H and Gamma = x*H (no nonce, U, V, c or s).
+VrfOutput vrf_output(const Ed25519KeyPair& kp, BytesView alpha);
+
 /// Derives the VRF output beta from a proof (does not verify it).
 VrfOutput vrf_proof_to_hash(const VrfProof& proof);
 

@@ -80,12 +80,13 @@ std::string to_json_line(const MetricSample& sample, std::int64_t t_us);
 ///   {"t_us":N,"kind":"trace","code":N,"a":N,"b":N,"label":"..."}
 std::string to_json_line(const TraceEvent& e);
 
-/// Appends one JSON object per sample to a file (the `BENCH_*.json`
-/// convention). Opens in append mode so successive scrapes of a run — or
-/// successive bench configurations — form one time series.
+/// Writes one JSON object per sample to a file (the `BENCH_*.json`
+/// convention). Successive scrapes through one sink — or successive bench
+/// configurations — form one time series; opening a path starts it afresh.
 class JsonLinesSink final : public Sink {
  public:
-  /// Owns the stream; throws EnsureError if the file cannot be opened.
+  /// Owns the stream, truncating any existing file (a rerun replaces the
+  /// previous rows); throws EnsureError if the file cannot be opened.
   explicit JsonLinesSink(const std::string& path);
   /// Borrows an open stream (e.g. stdout); never closes it.
   explicit JsonLinesSink(std::FILE* stream);

@@ -60,8 +60,7 @@ class RealSigner final : public Signer {
   }
 
   std::array<std::uint8_t, 64> vrf_output(BytesView alpha) const override {
-    const auto proof = crypto::vrf_prove(kp_, alpha);
-    return vrf_proof_to_hash(proof);
+    return crypto::vrf_output(kp_, alpha);
   }
 
  private:

@@ -1,146 +1,122 @@
 #include "accountnet/crypto/sc25519.hpp"
 
-#include <cstring>
-
 #include "accountnet/util/ensure.hpp"
 
 namespace accountnet::crypto {
 
 namespace {
 
-// 512-bit little-endian integer as 16 x 32-bit limbs; wide enough for a
-// 256x256-bit product plus headroom.
-struct U512 {
-  std::array<std::uint32_t, 16> w{};
-};
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
 
-// L in 32-bit limbs (little-endian).
+// 512-bit little-endian integer as 8 x 64-bit limbs; wide enough for a
+// 256x256-bit product plus a 256-bit addend.
+using U512 = std::array<u64, 8>;
+// The 320-bit window Barrett reduction works in.
+using U320 = std::array<u64, 5>;
+
 // L = 0x1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed
-constexpr std::array<std::uint32_t, 16> kOrder = {
-    0x5cf5d3edu, 0x5812631au, 0xa2f79cd6u, 0x14def9deu,
-    0x00000000u, 0x00000000u, 0x00000000u, 0x10000000u,
-    0, 0, 0, 0, 0, 0, 0, 0};
+constexpr std::array<u64, 4> kOrder = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL, 0,
+                                       0x1000000000000000ULL};
 
-int compare(const U512& a, const U512& b) {
-  for (int i = 15; i >= 0; --i) {
-    if (a.w[static_cast<std::size_t>(i)] != b.w[static_cast<std::size_t>(i)]) {
-      return a.w[static_cast<std::size_t>(i)] < b.w[static_cast<std::size_t>(i)] ? -1 : 1;
+// Barrett constant mu = floor(2^512 / L), 260 bits.
+constexpr U320 kMu = {0xed9ce5a30a2c131bULL, 0x2106215d086329a7ULL, 0xffffffffffffffebULL,
+                      0xffffffffffffffffULL, 0xfULL};
+
+bool less_than_order(const U320& r) {
+  if (r[4] != 0) return false;
+  for (int i = 3; i >= 0; --i) {
+    const auto k = static_cast<std::size_t>(i);
+    if (r[k] != kOrder[k]) return r[k] < kOrder[k];
+  }
+  return false;
+}
+
+// a - b mod 2^320.
+U320 sub320(const U320& a, const U320& b) {
+  U320 out{};
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
+    out[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 127);
+  }
+  return out;
+}
+
+// x mod L by Barrett reduction (HAC 14.42 with b = 2^64, k = 4). The
+// quotient estimate q = floor(floor(x / 2^192) * mu / 2^320) undershoots
+// floor(x / L) by at most 2, so x - q*L, computed mod 2^320, lies in
+// [0, 3L) and needs at most two final subtractions.
+std::array<u64, 4> mod_order(const U512& x) {
+  std::array<u64, 10> prod{};
+  for (std::size_t i = 0; i < 5; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < 5; ++j) {
+      const u128 t = static_cast<u128>(x[3 + i]) * kMu[j] + prod[i + j] + carry;
+      prod[i + j] = static_cast<u64>(t);
+      carry = static_cast<u64>(t >> 64);
     }
+    prod[i + 5] = carry;
   }
-  return 0;
-}
+  const U320 q = {prod[5], prod[6], prod[7], prod[8], prod[9]};
 
-void sub_in_place(U512& a, const U512& b) {
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const std::uint64_t lhs = a.w[i];
-    const std::uint64_t rhs = static_cast<std::uint64_t>(b.w[i]) + borrow;
-    a.w[i] = static_cast<std::uint32_t>(lhs - rhs);
-    borrow = lhs < rhs ? 1 : 0;
-  }
-}
-
-void shl1(U512& a) {
-  std::uint32_t carry = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const std::uint32_t next = a.w[i] >> 31;
-    a.w[i] = (a.w[i] << 1) | carry;
-    carry = next;
-  }
-}
-
-int bit_length(const U512& a) {
-  for (int i = 15; i >= 0; --i) {
-    const std::uint32_t v = a.w[static_cast<std::size_t>(i)];
-    if (v != 0) {
-      int bits = 0;
-      std::uint32_t t = v;
-      while (t != 0) {
-        ++bits;
-        t >>= 1;
-      }
-      return i * 32 + bits;
+  U320 ql{};  // q * L mod 2^320
+  for (std::size_t i = 0; i < 5; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < 4 && i + j < 5; ++j) {
+      const u128 t = static_cast<u128>(q[i]) * kOrder[j] + ql[i + j] + carry;
+      ql[i + j] = static_cast<u64>(t);
+      carry = static_cast<u64>(t >> 64);
     }
+    if (i == 0) ql[4] = carry;
   }
-  return 0;
-}
 
-// a mod L via shift-subtract long division.
-U512 mod_order(const U512& a) {
-  U512 order512;
-  order512.w = kOrder;
-  const int len = bit_length(a);
-  const int order_len = 253;
-  if (len < order_len) return a;
-
-  // Align L with the top bit of a, then walk down subtracting.
-  int shift = len - order_len;
-  U512 m = order512;
-  for (int i = 0; i < shift; ++i) shl1(m);
-  U512 r = a;
-  for (int i = shift; i >= 0; --i) {
-    if (compare(r, m) >= 0) sub_in_place(r, m);
-    if (i > 0) {
-      // m >>= 1
-      std::uint32_t carry = 0;
-      for (int j = 15; j >= 0; --j) {
-        const std::uint32_t next = m.w[static_cast<std::size_t>(j)] & 1;
-        m.w[static_cast<std::size_t>(j)] = (m.w[static_cast<std::size_t>(j)] >> 1) | (carry << 31);
-        carry = next;
-      }
-    }
-  }
-  return r;
+  U320 r = sub320({x[0], x[1], x[2], x[3], x[4]}, ql);
+  const U320 order = {kOrder[0], kOrder[1], kOrder[2], kOrder[3], 0};
+  while (!less_than_order(r)) r = sub320(r, order);
+  return {r[0], r[1], r[2], r[3]};
 }
 
 U512 load_le(BytesView bytes) {
   AN_ENSURE_MSG(bytes.size() <= 64, "Scalar::reduce input too long");
-  U512 out;
+  U512 out{};
   for (std::size_t i = 0; i < bytes.size(); ++i) {
-    out.w[i / 4] |= static_cast<std::uint32_t>(bytes[i]) << (8 * (i % 4));
+    out[i / 8] |= static_cast<u64>(bytes[i]) << (8 * (i % 8));
   }
   return out;
 }
 
 U512 mul_wide(const U512& a, const U512& b) {
-  // Schoolbook multiply of the low 8 limbs of each (256 x 256 -> 512).
-  U512 out;
-  std::uint64_t acc_carry[17] = {0};
-  for (std::size_t i = 0; i < 8; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::uint64_t cur = static_cast<std::uint64_t>(a.w[i]) * b.w[j] +
-                                acc_carry[i + j] + carry;
-      acc_carry[i + j] = cur & 0xffffffffULL;
-      carry = cur >> 32;
+  // Schoolbook multiply of the low 4 limbs of each (256 x 256 -> 512).
+  U512 out{};
+  for (std::size_t i = 0; i < 4; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const u128 t = static_cast<u128>(a[i]) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<u64>(t);
+      carry = static_cast<u64>(t >> 64);
     }
-    acc_carry[i + 8] += carry;
-  }
-  // Normalize the accumulator (entries can exceed 32 bits via the += above).
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const std::uint64_t cur = acc_carry[i] + carry;
-    out.w[i] = static_cast<std::uint32_t>(cur & 0xffffffffULL);
-    carry = cur >> 32;
+    out[i + 4] = carry;
   }
   return out;
 }
 
 U512 add_wide(const U512& a, const U512& b) {
-  U512 out;
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const std::uint64_t cur = static_cast<std::uint64_t>(a.w[i]) + b.w[i] + carry;
-    out.w[i] = static_cast<std::uint32_t>(cur & 0xffffffffULL);
-    carry = cur >> 32;
+  U512 out{};
+  u64 carry = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const u128 t = static_cast<u128>(a[i]) + b[i] + carry;
+    out[i] = static_cast<u64>(t);
+    carry = static_cast<u64>(t >> 64);
   }
   return out;
 }
 
-std::array<std::uint8_t, 32> store_le32(const U512& a) {
+std::array<std::uint8_t, 32> store_le32(const std::array<u64, 4>& a) {
   std::array<std::uint8_t, 32> out{};
   for (std::size_t i = 0; i < 32; ++i) {
-    out[i] = static_cast<std::uint8_t>(a.w[i / 4] >> (8 * (i % 4)));
+    out[i] = static_cast<std::uint8_t>(a[i / 8] >> (8 * (i % 8)));
   }
   return out;
 }
@@ -155,11 +131,9 @@ Scalar Scalar::reduce(BytesView le_bytes) {
 
 bool Scalar::from_canonical(BytesView b32, Scalar& out) {
   if (b32.size() != 32) return false;
-  U512 v = load_le(b32);
-  U512 order;
-  order.w = kOrder;
-  if (compare(v, order) >= 0) return false;
-  out.bytes_ = store_le32(v);
+  const U512 v = load_le(b32);
+  if (!less_than_order({v[0], v[1], v[2], v[3], 0})) return false;
+  out.bytes_ = store_le32({v[0], v[1], v[2], v[3]});
   return true;
 }
 

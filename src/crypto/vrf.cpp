@@ -86,20 +86,37 @@ Scalar challenge_scalar(const std::array<std::uint8_t, kChallengeLen>& c) {
   return Scalar::reduce(BytesView(c.data(), c.size()));
 }
 
+/// RFC 9381 §5.2 proof_to_hash given Gamma: SHA-512(suite || 0x03 || 8*Gamma || 0x00).
+VrfOutput gamma_to_hash(const Ge25519& gamma) {
+  const auto cofactor_gamma = gamma.mul_by_cofactor().to_bytes();
+  Sha512 h;
+  const std::uint8_t front[2] = {kSuite, 0x03};
+  h.update(BytesView(front, 2));
+  h.update(cofactor_gamma);
+  const std::uint8_t back[1] = {0x00};
+  h.update(BytesView(back, 1));
+  return h.finish();
+}
+
+Ge25519 encode_to_curve(BytesView pk, BytesView alpha) {
+  auto h_point = hash_to_curve_tai(pk, alpha);
+  AN_ENSURE_MSG(h_point.has_value(), "hash_to_curve failed");
+  return *h_point;
+}
+
 }  // namespace
 
 VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha) {
   const auto sk = expand(kp);
-  const auto h_point = hash_to_curve_tai(kp.public_key, alpha);
-  AN_ENSURE_MSG(h_point.has_value(), "hash_to_curve failed");
-  const auto h_enc = h_point->to_bytes();
+  const Ge25519 h_point = encode_to_curve(kp.public_key, alpha);
+  const auto h_enc = h_point.to_bytes();
 
-  const Ge25519 gamma = h_point->scalar_mul(sk.x.bytes());
+  const Ge25519 gamma = h_point.scalar_mul(sk.x.bytes());
   const auto gamma_enc = gamma.to_bytes();
 
   const Scalar k = make_nonce(sk, h_enc);
   const auto u_enc = ge_scalar_mul_base(k.bytes()).to_bytes();
-  const auto v_enc = h_point->scalar_mul(k.bytes()).to_bytes();
+  const auto v_enc = h_point.scalar_mul(k.bytes()).to_bytes();
 
   const auto c = make_challenge(kp.public_key, h_enc, gamma_enc, u_enc, v_enc);
   const Scalar s = Scalar::muladd(challenge_scalar(c), sk.x, k);
@@ -111,17 +128,15 @@ VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha) {
   return proof;
 }
 
+VrfOutput vrf_output(const Ed25519KeyPair& kp, BytesView alpha) {
+  const Ge25519 h_point = encode_to_curve(kp.public_key, alpha);
+  return gamma_to_hash(h_point.scalar_mul(expand(kp).x.bytes()));
+}
+
 VrfOutput vrf_proof_to_hash(const VrfProof& proof) {
   const auto gamma = Ge25519::from_bytes(BytesView(proof.data(), 32));
   AN_ENSURE_MSG(gamma.has_value(), "vrf_proof_to_hash: bad Gamma encoding");
-  const auto cofactor_gamma = gamma->mul_by_cofactor().to_bytes();
-  Sha512 h;
-  const std::uint8_t front[2] = {kSuite, 0x03};
-  h.update(BytesView(front, 2));
-  h.update(cofactor_gamma);
-  const std::uint8_t back[1] = {0x00};
-  h.update(BytesView(back, 1));
-  return h.finish();
+  return gamma_to_hash(*gamma);
 }
 
 std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
@@ -144,9 +159,9 @@ std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
 
   const Scalar c_scalar = challenge_scalar(c);
 
-  // U = s*B - c*Y ;  V = s*H - c*Gamma.
+  // U = s*B - c*Y ;  V = s*H - c*Gamma, the latter as one joint product.
   const Ge25519 u = ge_scalar_mul_base(s.bytes()).sub(y->scalar_mul(c_scalar.bytes()));
-  const Ge25519 v = h_point->scalar_mul(s.bytes()).sub(gamma->scalar_mul(c_scalar.bytes()));
+  const Ge25519 v = ge_double_scalar_mul(*h_point, s.bytes(), gamma->negate(), c_scalar.bytes());
 
   const auto expected =
       make_challenge(public_key32, h_enc, gamma->to_bytes(), u.to_bytes(), v.to_bytes());
@@ -154,9 +169,7 @@ std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
     return std::nullopt;
   }
 
-  VrfProof proof{};
-  std::memcpy(proof.data(), proof80.data(), kVrfProofSize);
-  return vrf_proof_to_hash(proof);
+  return gamma_to_hash(*gamma);
 }
 
 }  // namespace accountnet::crypto

@@ -90,7 +90,7 @@ std::string to_json_line(const TraceEvent& e) {
 }
 
 JsonLinesSink::JsonLinesSink(const std::string& path)
-    : stream_(std::fopen(path.c_str(), "a")), owned_(true) {
+    : stream_(std::fopen(path.c_str(), "w")), owned_(true) {
   AN_ENSURE_MSG(stream_ != nullptr, "cannot open metrics sink file: " + path);
 }
 

@@ -15,6 +15,10 @@ struct Rfc8032Vector {
   const char* signature;
 };
 
+// Prints the vector by name. gtest's default dumps the struct's raw bytes —
+// five string pointers — which would put load addresses in the test names.
+void PrintTo(const Rfc8032Vector& v, std::ostream* os) { *os << v.name; }
+
 const Rfc8032Vector kVectors[] = {
     {"TEST1_empty",
      "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",

@@ -1,6 +1,8 @@
 // Algebraic property tests for GF(2^255 - 19) arithmetic.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "accountnet/crypto/fe25519.hpp"
 #include "accountnet/util/rng.hpp"
 
@@ -137,6 +139,34 @@ TEST(Fe25519, Pow22523Property) {
     ++checked;
   }
   EXPECT_GE(checked, 20);
+}
+
+// Square-and-multiply over the exponent's bits, MSB first: the reference the
+// addition chains in invert() and pow22523() are checked against.
+Fe25519 reference_pow(const Fe25519& x, const char* exponent_le_hex) {
+  const Bytes e = from_hex(exponent_le_hex);
+  Fe25519 acc = Fe25519::one();
+  for (int bit = 255; bit >= 0; --bit) {
+    acc = acc.square();
+    if ((e[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1) acc = acc * x;
+  }
+  return acc;
+}
+
+// p - 2 = 2^255 - 21 and (p - 5) / 8 = 2^252 - 3, little-endian.
+const char* kPMinus2 = "ebffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+const char* kPMinus5Over8 = "fdffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0f";
+
+TEST(Fe25519, AdditionChainsMatchSquareAndMultiply) {
+  Rng rng(110);
+  std::vector<Fe25519> inputs = {Fe25519::zero(), Fe25519::one(), Fe25519::one().negate(),
+                                 Fe25519::from_u64(2), fe_sqrt_m1(), fe_edwards_d()};
+  for (int i = 0; i < 32; ++i) inputs.push_back(random_fe(rng));
+  for (const auto& x : inputs) {
+    EXPECT_EQ(x.invert().to_bytes(), reference_pow(x, kPMinus2).to_bytes()) << to_hex(x.to_bytes());
+    EXPECT_EQ(x.pow22523().to_bytes(), reference_pow(x, kPMinus5Over8).to_bytes())
+        << to_hex(x.to_bytes());
+  }
 }
 
 TEST(Fe25519, IsNegativeMatchesLsb) {

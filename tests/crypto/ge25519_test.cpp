@@ -1,6 +1,9 @@
 // Group-law property tests for edwards25519 points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "accountnet/crypto/ge25519.hpp"
 #include "accountnet/util/rng.hpp"
 
@@ -18,6 +21,38 @@ std::array<std::uint8_t, 32> random_scalar(Rng& rng) {
   for (auto& b : s) b = static_cast<std::uint8_t>(rng.next_u64());
   s[31] &= 0x0f;  // keep < 2^252 so no reduction questions arise
   return s;
+}
+
+std::array<std::uint8_t, 32> scalar_from_hex(const char* hex) {
+  const Bytes b = from_hex(hex);
+  std::array<std::uint8_t, 32> s{};
+  std::copy(b.begin(), b.end(), s.begin());
+  return s;
+}
+
+// Plain MSB-first double-and-add over all 256 scalar bits: the reference the
+// windowed, table-driven and joint multiplications are checked against.
+Ge25519 reference_mul(const Ge25519& p, const std::array<std::uint8_t, 32>& k) {
+  Ge25519 acc = Ge25519::identity();
+  for (int bit = 255; bit >= 0; --bit) {
+    acc = acc.dbl();
+    if ((k[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1) acc = acc.add(p);
+  }
+  return acc;
+}
+
+// Scalars that stress the signed radix-16 recoding of the base table.
+std::vector<std::array<std::uint8_t, 32>> edge_scalars() {
+  std::vector<std::array<std::uint8_t, 32>> out;
+  for (std::uint64_t v : {0, 1, 8, 15, 16}) out.push_back(scalar_of(v));
+  // L - 1, 2^252, and all-0x88 bytes (every nibble 8: a carry through every
+  // digit, and a scalar >= 2^255 that the base path must reduce first).
+  out.push_back(scalar_from_hex("ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010"));
+  out.push_back(scalar_from_hex("0000000000000000000000000000000000000000000000000000000000000010"));
+  std::array<std::uint8_t, 32> all88{};
+  all88.fill(0x88);
+  out.push_back(all88);
+  return out;
 }
 
 TEST(Ge25519, IdentityEncoding) {
@@ -143,6 +178,65 @@ TEST(Ge25519, ScalarMulByZeroAndOne) {
   const auto& b = Ge25519::base_point();
   EXPECT_TRUE(b.scalar_mul(scalar_of(0)).is_identity());
   EXPECT_EQ(b.scalar_mul(scalar_of(1)), b);
+}
+
+TEST(Ge25519, DblTimesMatchesRepeatedDoubling) {
+  const auto p = Ge25519::base_point().scalar_mul(scalar_of(12345));
+  Ge25519 expected = p;
+  for (int n = 0; n <= 5; ++n) {
+    EXPECT_EQ(p.dbl_times(n).to_bytes(), expected.to_bytes()) << "n=" << n;
+    expected = expected.dbl();
+  }
+}
+
+TEST(Ge25519, BaseTableMatchesVariableBaseOnEdgeScalars) {
+  const auto& b = Ge25519::base_point();
+  for (const auto& k : edge_scalars()) {
+    const auto expected = reference_mul(b, k).to_bytes();
+    EXPECT_EQ(ge_scalar_mul_base(k).to_bytes(), expected) << to_hex(k);
+    EXPECT_EQ(b.scalar_mul(k).to_bytes(), expected) << to_hex(k);
+  }
+}
+
+TEST(Ge25519, BaseTableMatchesVariableBaseOnRandomScalars) {
+  Rng rng(203);
+  const auto& b = Ge25519::base_point();
+  for (int i = 0; i < 64; ++i) {
+    std::array<std::uint8_t, 32> k{};
+    for (auto& byte : k) byte = static_cast<std::uint8_t>(rng.next_u64());
+    if (i % 2 == 0) k[31] &= 0x0f;  // half below 2^252, half full-width
+    const auto expected = b.scalar_mul(k).to_bytes();
+    EXPECT_EQ(ge_scalar_mul_base(k).to_bytes(), expected) << to_hex(k);
+    if (i < 8) {
+      EXPECT_EQ(reference_mul(b, k).to_bytes(), expected) << to_hex(k);
+    }
+  }
+}
+
+TEST(Ge25519, DoubleScalarMulMatchesSeparateProducts) {
+  Rng rng(204);
+  auto scalars = edge_scalars();
+  for (int i = 0; i < 16; ++i) scalars.push_back(random_scalar(rng));
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const auto p = ge_scalar_mul_base(random_scalar(rng));
+    const auto q = ge_scalar_mul_base(random_scalar(rng));
+    const auto& a = scalars[i];
+    const auto& c = scalars[(i * 7 + 3) % scalars.size()];
+    const auto expected = p.scalar_mul(a).add(q.scalar_mul(c)).to_bytes();
+    EXPECT_EQ(ge_double_scalar_mul(p, a, q, c).to_bytes(), expected) << i;
+    if (i < 4) {
+      EXPECT_EQ(reference_mul(p, a).add(reference_mul(q, c)).to_bytes(), expected) << i;
+    }
+  }
+  // The VRF verifier's shape: s*H - c*Gamma with a 128-bit c.
+  const auto h = ge_scalar_mul_base(random_scalar(rng));
+  const auto gamma = ge_scalar_mul_base(random_scalar(rng));
+  const auto s = random_scalar(rng);
+  auto c = random_scalar(rng);
+  std::fill(c.begin() + 16, c.end(), 0);
+  EXPECT_EQ(ge_double_scalar_mul(h, s, gamma.negate(), c).to_bytes(),
+            h.scalar_mul(s).sub(gamma.scalar_mul(c)).to_bytes());
+  EXPECT_TRUE(ge_double_scalar_mul(h, scalar_of(0), gamma, scalar_of(0)).is_identity());
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Scalar arithmetic mod L property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "accountnet/crypto/sc25519.hpp"
 #include "accountnet/util/ensure.hpp"
 #include "accountnet/util/rng.hpp"
@@ -123,6 +126,74 @@ TEST(Scalar, Reduce64ByteInput) {
   const Scalar expected =
       Scalar::reduce(lo).add(Scalar::reduce(hi).mul(Scalar::reduce(two256_le)));
   EXPECT_EQ(Scalar::reduce(b), expected);
+}
+
+// Bit-serial shift-subtract long division of a 64-byte little-endian value
+// by L: the reference the word-level reduction is checked against.
+Bytes reference_reduce(const Bytes& le64) {
+  const Bytes order = from_hex(kOrderHex);
+  Bytes r(33, 0);  // running remainder, always < 2L < 2^254
+  for (int bit = 511; bit >= 0; --bit) {
+    // r = 2r + bit
+    int carry = (le64[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1;
+    for (auto& byte : r) {
+      const int v = (byte << 1) | carry;
+      byte = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    // if r >= L: r -= L
+    bool geq = true;
+    for (int i = 32; i >= 0; --i) {
+      const int o = i < 32 ? order[static_cast<std::size_t>(i)] : 0;
+      if (r[static_cast<std::size_t>(i)] != o) {
+        geq = r[static_cast<std::size_t>(i)] > o;
+        break;
+      }
+    }
+    if (!geq) continue;
+    int borrow = 0;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      const int v = r[i] - (i < 32 ? order[i] : 0) - borrow;
+      r[i] = static_cast<std::uint8_t>(v);
+      borrow = v < 0 ? 1 : 0;
+    }
+  }
+  return Bytes(r.begin(), r.begin() + 32);
+}
+
+Bytes le64_from_multiple_of_order(unsigned multiple) {
+  const Bytes order = from_hex(kOrderHex);
+  Bytes out(64, 0);
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const unsigned v = (i < 32 ? order[i] : 0u) * multiple + carry;
+    out[i] = static_cast<std::uint8_t>(v);
+    carry = v >> 8;
+  }
+  return out;
+}
+
+TEST(Scalar, WordLevelReduceMatchesShiftSubtract) {
+  std::vector<Bytes> inputs = {Bytes(64, 0x00), Bytes(64, 0xff)};
+  Bytes order_minus_one = le64_from_multiple_of_order(1);
+  order_minus_one[0] -= 1;  // L ends in 0xed: no borrow
+  inputs.push_back(order_minus_one);
+  inputs.push_back(le64_from_multiple_of_order(1));
+  inputs.push_back(le64_from_multiple_of_order(2));
+  Rng rng(306);
+  for (int i = 0; i < 200; ++i) {
+    Bytes b(64);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_u64());
+    // Vary the magnitude so every quotient size is covered.
+    std::fill(b.begin() + 64 - (i % 40), b.end(), 0);
+    inputs.push_back(b);
+  }
+  for (const auto& in : inputs) {
+    EXPECT_EQ(to_hex(Scalar::reduce(in).bytes()), to_hex(reference_reduce(in))) << to_hex(in);
+  }
+  EXPECT_TRUE(Scalar::reduce(le64_from_multiple_of_order(2)).is_zero());
+  EXPECT_EQ(to_hex(Scalar::reduce(order_minus_one).bytes()),
+            to_hex(Bytes(order_minus_one.begin(), order_minus_one.begin() + 32)));
 }
 
 TEST(Scalar, ReduceRejectsOverlongInput) {

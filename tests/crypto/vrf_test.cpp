@@ -1,22 +1,75 @@
-// ECVRF behavioural tests: determinism, verifiability, uniqueness, tampering.
-// (No official RFC 9381 vectors are bundled offline; the Ed25519 vectors
-// already pin the underlying curve/hash stack, and these tests pin the VRF
-// contract AccountNet depends on.)
+// ECVRF tests: the RFC 9381 Appendix B.3 vectors, the Gamma-only output
+// path, and the behavioural contract AccountNet depends on (determinism,
+// verifiability, uniqueness, tampering).
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "accountnet/crypto/provider.hpp"
 #include "accountnet/crypto/vrf.hpp"
 #include "accountnet/util/rng.hpp"
 
 namespace accountnet::crypto {
 namespace {
 
-Ed25519KeyPair keypair(std::uint64_t seed_val) {
+Bytes keypair_seed(std::uint64_t seed_val) {
   Rng rng(seed_val);
   Bytes seed(32);
   for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next_u64());
-  return ed25519_keypair_from_seed(seed);
+  return seed;
+}
+
+Ed25519KeyPair keypair(std::uint64_t seed_val) {
+  return ed25519_keypair_from_seed(keypair_seed(seed_val));
+}
+
+// RFC 9381 Appendix B.3, ECVRF-EDWARDS25519-SHA512-TAI Example 16.
+TEST(Vrf, Rfc9381Example16) {
+  const auto kp = ed25519_keypair_from_seed(
+      from_hex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"));
+  const Bytes alpha;
+  const auto proof = vrf_prove(kp, alpha);
+  EXPECT_EQ(to_hex(proof),
+            "8657106690b5526245a92b003bb079ccd1a92130477671f6fc01ad16f26f723f"
+            "26f8a57ccaed74ee1b190bed1f479d97"
+            "27d2d0f9b005a6e456a35d4fb0daab1268a1b0db10836d9826a528ca76567805");
+  const char* beta =
+      "90cf1df3b703cce59e2a35b925d411164068269d7b2d29f3301c03dd757876ff"
+      "66b71dda49d2de59d03450451af026798e8f81cd2e333de5cdf4f3e140fdd8ae";
+  EXPECT_EQ(to_hex(vrf_proof_to_hash(proof)), beta);
+  EXPECT_EQ(to_hex(vrf_output(kp, alpha)), beta);
+  const auto verified = vrf_verify(kp.public_key, alpha, proof);
+  ASSERT_TRUE(verified.has_value());
+  EXPECT_EQ(to_hex(*verified), beta);
+}
+
+// RFC 9381 Appendix B.3 Example 17 (alpha = 0x72): the output beta.
+TEST(Vrf, Rfc9381Example17Beta) {
+  const auto kp = ed25519_keypair_from_seed(
+      from_hex("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb"));
+  const Bytes alpha = from_hex("72");
+  const char* beta =
+      "eb4440665d3891d668e7e0fcaf587f1b4bd7fbfe99d0eb2211ccec90496310eb"
+      "5e33821bc613efb94db5e5b54c70a848a0bef4553a41befc57663b56373a5031";
+  EXPECT_EQ(to_hex(vrf_output(kp, alpha)), beta);
+  const auto verified = vrf_verify(kp.public_key, alpha, vrf_prove(kp, alpha));
+  ASSERT_TRUE(verified.has_value());
+  EXPECT_EQ(to_hex(*verified), beta);
+}
+
+// The Gamma-only output path agrees with hashing a full proof, for many
+// keys and alphas of every length from empty up.
+TEST(Vrf, OutputEqualsProofToHashAcrossKeysAndAlphas) {
+  Rng rng(0x5eed);
+  for (std::uint64_t key = 0; key < 20; ++key) {
+    const auto kp = keypair(1000 + key);
+    for (std::size_t len = 0; len < 10; ++len) {
+      Bytes alpha(len * 7);
+      for (auto& b : alpha) b = static_cast<std::uint8_t>(rng.next_u64());
+      EXPECT_EQ(vrf_output(kp, alpha), vrf_proof_to_hash(vrf_prove(kp, alpha)))
+          << "key " << key << " alpha length " << alpha.size();
+    }
+  }
 }
 
 TEST(Vrf, ProveVerifyRoundTrip) {
@@ -34,13 +87,10 @@ TEST(Vrf, OutputMatchesVerifiedBeta) {
   const auto proof = vrf_prove(kp, alpha);
   const auto beta = vrf_verify(kp.public_key, alpha, proof);
   ASSERT_TRUE(beta.has_value());
-  // Signer-side fast path must agree with the verifier-derived output.
-  // (This is the "uniqueness" property AccountNet's select() relies on.)
-  Rng unused(0);
-  const auto signer_beta = [&] {
-    return *beta;  // computed through the proof
-  }();
-  EXPECT_EQ(signer_beta, *beta);
+  // The signer-side output (no proof) must agree with the verifier-derived
+  // one: the "uniqueness" property AccountNet's select() relies on.
+  EXPECT_EQ(vrf_output(kp, alpha), *beta);
+  EXPECT_EQ(make_real_crypto()->make_signer(keypair_seed(2))->vrf_output(alpha), *beta);
 }
 
 TEST(Vrf, DeterministicProofs) {

@@ -257,5 +257,26 @@ TEST(JsonLinesSink, WritesOneObjectPerLine) {
   std::remove(path.c_str());
 }
 
+TEST(JsonLinesSink, RerunOverwritesInsteadOfAppending) {
+  // A bench rerun in the same directory must leave one copy of its rows.
+  const std::string path = ::testing::TempDir() + "/obs_sink_rerun_test.json";
+  std::remove(path.c_str());
+  for (int run = 0; run < 2; ++run) {
+    MetricsRegistry r;
+    r.add(r.counter("runs"), 1);
+    JsonLinesSink sink(path);
+    sink.raw_line("{\"bench\":\"rerun\"}");
+    r.scrape_to(sink, 3);
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "{\"bench\":\"rerun\"}");
+  EXPECT_EQ(lines[1], "{\"t_us\":3,\"metric\":\"runs\",\"kind\":\"counter\",\"value\":1}");
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace accountnet::obs
