@@ -4,6 +4,9 @@
 // sims.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "accountnet/crypto/ed25519.hpp"
 #include "accountnet/crypto/fe25519.hpp"
 #include "accountnet/crypto/ge25519.hpp"
@@ -48,6 +51,21 @@ std::array<std::uint8_t, 32> make_scalar() {
   return Scalar::reduce(make_payload(64)).bytes();
 }
 
+// A different 40-byte alpha on every call, so no VRF row is timed on a
+// repeated input: vrf_output and vrf_prove remember each thread's last draw.
+class AlphaStream {
+ public:
+  BytesView next() {
+    ++counter_;
+    for (std::size_t i = 0; i < 8; ++i) alpha_[i] = static_cast<std::uint8_t>(counter_ >> (8 * i));
+    return alpha_;
+  }
+
+ private:
+  Bytes alpha_ = make_payload(40);
+  std::uint64_t counter_ = 0;
+};
+
 void BM_FeInvert(benchmark::State& state) {
   const Fe25519 x = Fe25519::from_bytes(make_payload(32));
   for (auto _ : state) {
@@ -82,6 +100,23 @@ void BM_GeScalarMulVariable(benchmark::State& state) {
 }
 BENCHMARK(BM_GeScalarMulVariable);
 
+// to_bytes_batch over n projective points: one inversion for the batch.
+void BM_GeEncodeBatch(benchmark::State& state) {
+  std::vector<Ge25519> points;
+  Ge25519 p = ge_scalar_mul_base(make_scalar());
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    points.push_back(p.dbl());  // distinct points, none with Z = 1
+    p = p.add(Ge25519::base_point());
+  }
+  std::vector<std::array<std::uint8_t, 32>> out(points.size());
+  for (auto _ : state) {
+    Ge25519::to_bytes_batch(points, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GeEncodeBatch)->Arg(1)->Arg(2)->Arg(5);
+
 void BM_Ed25519KeyGen(benchmark::State& state) {
   const Bytes seed = make_payload(32);
   for (auto _ : state) {
@@ -111,9 +146,9 @@ BENCHMARK(BM_Ed25519Verify);
 
 void BM_VrfProve(benchmark::State& state) {
   const auto kp = ed25519_keypair_from_seed(make_payload(32));
-  const Bytes alpha = make_payload(40);
+  AlphaStream alphas;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vrf_prove(kp, alpha));
+    benchmark::DoNotOptimize(vrf_prove(kp, alphas.next()));
   }
 }
 BENCHMARK(BM_VrfProve);
@@ -121,18 +156,37 @@ BENCHMARK(BM_VrfProve);
 void BM_SignerVrfOutput(benchmark::State& state) {
   const auto provider = make_real_crypto();
   const auto signer = provider->make_signer(make_payload(32));
-  const Bytes alpha = make_payload(40);
+  AlphaStream alphas;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(signer->vrf_output(alpha));
+    benchmark::DoNotOptimize(signer->vrf_output(alphas.next()));
   }
 }
 BENCHMARK(BM_SignerVrfOutput);
 
+// One sampler draw: the output, then the proof of the same alpha.
+void BM_SignerVrfDraw(benchmark::State& state) {
+  const auto provider = make_real_crypto();
+  const auto signer = provider->make_signer(make_payload(32));
+  AlphaStream alphas;
+  for (auto _ : state) {
+    const BytesView alpha = alphas.next();
+    benchmark::DoNotOptimize(signer->vrf_output(alpha));
+    benchmark::DoNotOptimize(signer->vrf_prove(alpha));
+  }
+}
+BENCHMARK(BM_SignerVrfDraw);
+
 void BM_VrfVerify(benchmark::State& state) {
   const auto kp = ed25519_keypair_from_seed(make_payload(32));
-  const Bytes alpha = make_payload(40);
-  const auto proof = vrf_prove(kp, alpha);
+  AlphaStream alphas;
+  std::vector<std::pair<Bytes, VrfProof>> inputs;
+  for (int i = 0; i < 64; ++i) {
+    const BytesView alpha = alphas.next();
+    inputs.emplace_back(Bytes(alpha.begin(), alpha.end()), vrf_prove(kp, alpha));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
+    const auto& [alpha, proof] = inputs[i++ % inputs.size()];
     benchmark::DoNotOptimize(vrf_verify(kp.public_key, alpha, proof));
   }
 }
@@ -141,9 +195,9 @@ BENCHMARK(BM_VrfVerify);
 void BM_FastBackendVrf(benchmark::State& state) {
   const auto provider = make_fast_crypto();
   const auto signer = provider->make_signer(make_payload(32));
-  const Bytes alpha = make_payload(40);
+  AlphaStream alphas;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(signer->vrf_output(alpha));
+    benchmark::DoNotOptimize(signer->vrf_output(alphas.next()));
   }
 }
 BENCHMARK(BM_FastBackendVrf);

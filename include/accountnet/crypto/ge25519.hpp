@@ -7,7 +7,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <optional>
+#include <span>
 
 #include "accountnet/crypto/fe25519.hpp"
 #include "accountnet/util/bytes.hpp"
@@ -23,23 +25,29 @@ class Ge25519 {
   /// The standard base point B (y = 4/5, x positive... RFC 8032 sign rules).
   static const Ge25519& base_point();
 
-  /// Decompresses a 32-byte encoding; nullopt if not a curve point.
+  /// Decompresses a 32-byte encoding; nullopt if it is not a curve point or
+  /// its y coordinate is not canonical (y >= p), per RFC 8032 §5.1.3.
   static std::optional<Ge25519> from_bytes(BytesView b32);
 
   /// Canonical 32-byte compressed encoding.
   std::array<std::uint8_t, 32> to_bytes() const;
+
+  /// out[i] = points[i].to_bytes() for every i, with one field inversion for
+  /// the whole batch (Montgomery's trick) instead of one per point.
+  static void to_bytes_batch(std::span<const Ge25519> points,
+                             std::span<std::array<std::uint8_t, 32>> out);
 
   Ge25519 add(const Ge25519& rhs) const;
   Ge25519 dbl() const;
   /// 2^n * P by n doublings, computing T only in the last one.
   Ge25519 dbl_times(int n) const;
   Ge25519 negate() const;
-  Ge25519 sub(const Ge25519& rhs) const { return add(rhs.negate()); }
+  Ge25519 sub(const Ge25519& rhs) const;
 
-  /// scalar * P; `scalar_le` is a 32-byte little-endian integer (interpreted
-  /// mod the group structure implicitly; callers pass reduced scalars).
-  /// 4-bit fixed window: 14 additions for the table, then per nonzero nibble
-  /// one addition, with four doublings between nibbles.
+  /// scalar * P for a 32-byte little-endian integer (the full 256 bits are
+  /// used; nothing is reduced). Signed 4-bit window: a table of 1..8 * P in
+  /// cached form (one doubling, six additions), then per nonzero signed
+  /// radix-16 digit one addition, with four doublings between digits.
   Ge25519 scalar_mul(const std::array<std::uint8_t, 32>& scalar_le) const;
 
   /// 8 * P (clears the cofactor).
@@ -58,6 +66,22 @@ class Ge25519 {
   Ge25519 madd(const Precomp& p, bool negate) const;
   friend Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le);
 
+  /// A point in the (Y + X, Y - X, 2Z, 2d*T) form that additions read
+  /// (defined in ge25519.cpp).
+  struct Cached;
+  Cached to_cached() const;
+  /// this + q, or this - q when `negate`. T of the sum is computed only
+  /// when `with_t`; leave it out only when a doubling comes next.
+  Ge25519 add_cached(const Cached& q, bool negate, bool with_t) const;
+
+  /// sum scalars[i] * points[i] (Straus); defined and instantiated in
+  /// ge25519.cpp.
+  template <std::size_t N>
+  static Ge25519 straus(const std::array<const Ge25519*, N>& points,
+                        const std::array<const std::array<std::uint8_t, 32>*, N>& scalars);
+  friend Ge25519 ge_double_scalar_mul(const Ge25519& p, const std::array<std::uint8_t, 32>& a,
+                                      const Ge25519& q, const std::array<std::uint8_t, 32>& b);
+
   Fe25519 x_;
   Fe25519 y_;
   Fe25519 z_;
@@ -70,8 +94,9 @@ class Ge25519 {
 /// no doublings. Scalars >= 2^255 are reduced mod L first.
 Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le);
 
-/// a * P + b * Q with one shared doubling chain (Straus, 4-bit windows);
-/// equals P.scalar_mul(a).add(Q.scalar_mul(b)) for about half the doublings.
+/// a * P + b * Q with one shared doubling chain (Straus, signed 4-bit
+/// windows); equals P.scalar_mul(a).add(Q.scalar_mul(b)) for about half the
+/// doublings.
 Ge25519 ge_double_scalar_mul(const Ge25519& p, const std::array<std::uint8_t, 32>& a,
                              const Ge25519& q, const std::array<std::uint8_t, 32>& b);
 

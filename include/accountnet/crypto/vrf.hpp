@@ -26,6 +26,11 @@ constexpr std::size_t kVrfOutputSize = 64;
 using VrfProof = std::array<std::uint8_t, kVrfProofSize>;
 using VrfOutput = std::array<std::uint8_t, kVrfOutputSize>;
 
+// vrf_prove and vrf_output share their first half, H = encode_to_curve(pk,
+// alpha) and Gamma = x*H: each thread remembers its last (pk, alpha), so a
+// proof and an output of the same input cost one evaluation of it, in either
+// order. Only public values are remembered.
+
 /// Computes the proof pi for input alpha under the Ed25519 keypair.
 VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha);
 
@@ -36,7 +41,9 @@ VrfOutput vrf_output(const Ed25519KeyPair& kp, BytesView alpha);
 /// Derives the VRF output beta from a proof (does not verify it).
 VrfOutput vrf_proof_to_hash(const VrfProof& proof);
 
-/// Verifies pi against (pk, alpha); returns beta on success.
+/// Verifies pi against (pk, alpha); returns beta on success. A public key
+/// of small order (8*Y = identity) is rejected, per RFC 9381 §5.4.5
+/// ECVRF_validate_key.
 std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
                                     BytesView proof80);
 

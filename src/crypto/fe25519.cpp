@@ -6,15 +6,6 @@
 
 namespace accountnet::crypto {
 
-namespace {
-
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
-constexpr u64 kMask51 = (u64{1} << 51) - 1;
-
-}  // namespace
-
 Fe25519 Fe25519::one() {
   return from_u64(1);
 }
@@ -44,16 +35,6 @@ Fe25519 Fe25519::from_bytes(BytesView b32) {
   r.limbs_[3] = ((q2 >> 25) | (q3 << 39)) & kMask51;
   r.limbs_[4] = (q3 >> 12) & kMask51;  // drops the sign/top bit
   return r;
-}
-
-void Fe25519::carry() {
-  u64 c;
-  c = limbs_[0] >> 51; limbs_[0] &= kMask51; limbs_[1] += c;
-  c = limbs_[1] >> 51; limbs_[1] &= kMask51; limbs_[2] += c;
-  c = limbs_[2] >> 51; limbs_[2] &= kMask51; limbs_[3] += c;
-  c = limbs_[3] >> 51; limbs_[3] &= kMask51; limbs_[4] += c;
-  c = limbs_[4] >> 51; limbs_[4] &= kMask51; limbs_[0] += 19 * c;
-  c = limbs_[0] >> 51; limbs_[0] &= kMask51; limbs_[1] += c;
 }
 
 std::array<std::uint8_t, 32> Fe25519::to_bytes() const {
@@ -90,43 +71,7 @@ std::array<std::uint8_t, 32> Fe25519::to_bytes() const {
   return out;
 }
 
-Fe25519 Fe25519::operator+(const Fe25519& rhs) const {
-  Fe25519 r;
-  for (int i = 0; i < 5; ++i) r.limbs_[i] = limbs_[i] + rhs.limbs_[i];
-  r.carry();
-  return r;
-}
-
-Fe25519 Fe25519::operator-(const Fe25519& rhs) const {
-  // Add 2p (limb-wise) before subtracting so limbs never underflow.
-  static constexpr u64 kTwoP0 = 0xfffffffffffdaULL;   // 2*(2^51 - 19)
-  static constexpr u64 kTwoPi = 0xffffffffffffeULL;   // 2*(2^51 - 1)
-  Fe25519 r;
-  r.limbs_[0] = limbs_[0] + kTwoP0 - rhs.limbs_[0];
-  for (int i = 1; i < 5; ++i) r.limbs_[i] = limbs_[i] + kTwoPi - rhs.limbs_[i];
-  r.carry();
-  return r;
-}
-
-Fe25519 Fe25519::negate() const {
-  return zero() - *this;
-}
-
 namespace {
-
-// Carries five 128-bit column sums down to 51-bit limbs, folding the top
-// carry back in through 2^255 = 19 (mod p).
-std::array<u64, 5> carry_columns(u128 r0, u128 r1, u128 r2, u128 r3, u128 r4) {
-  u128 c;
-  c = r0 >> 51; r0 &= kMask51; r1 += c;
-  c = r1 >> 51; r1 &= kMask51; r2 += c;
-  c = r2 >> 51; r2 &= kMask51; r3 += c;
-  c = r3 >> 51; r3 &= kMask51; r4 += c;
-  c = r4 >> 51; r4 &= kMask51; r0 += 19 * c;
-  c = r0 >> 51; r0 &= kMask51; r1 += c;
-  return {static_cast<u64>(r0), static_cast<u64>(r1), static_cast<u64>(r2),
-          static_cast<u64>(r3), static_cast<u64>(r4)};
-}
 
 // z^(2^n): n successive squarings.
 Fe25519 square_times(Fe25519 z, int n) {
@@ -152,35 +97,6 @@ Fe25519 pow_2_250_1(const Fe25519& z, Fe25519& z11) {
 }
 
 }  // namespace
-
-Fe25519 Fe25519::operator*(const Fe25519& rhs) const {
-  const u64 f0 = limbs_[0], f1 = limbs_[1], f2 = limbs_[2], f3 = limbs_[3], f4 = limbs_[4];
-  const u64 g0 = rhs.limbs_[0], g1 = rhs.limbs_[1], g2 = rhs.limbs_[2], g3 = rhs.limbs_[3],
-            g4 = rhs.limbs_[4];
-  const u64 g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3, g4_19 = 19 * g4;
-
-  const u128 r0 = (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 + (u128)f3 * g2_19 + (u128)f4 * g1_19;
-  const u128 r1 = (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 + (u128)f3 * g3_19 + (u128)f4 * g2_19;
-  const u128 r2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 + (u128)f3 * g4_19 + (u128)f4 * g3_19;
-  const u128 r3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 + (u128)f4 * g4_19;
-  const u128 r4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 + (u128)f4 * g0;
-  return Fe25519(carry_columns(r0, r1, r2, r3, r4));
-}
-
-Fe25519 Fe25519::square() const {
-  // The multiplication above with f = g: the symmetric cross terms are
-  // computed once and doubled, 15 products instead of 25.
-  const u64 f0 = limbs_[0], f1 = limbs_[1], f2 = limbs_[2], f3 = limbs_[3], f4 = limbs_[4];
-  const u64 d0 = 2 * f0, d1 = 2 * f1, d2 = 2 * f2, d3 = 2 * f3;
-  const u64 f3_19 = 19 * f3, f4_19 = 19 * f4;
-
-  const u128 r0 = (u128)f0 * f0 + (u128)d1 * f4_19 + (u128)d2 * f3_19;
-  const u128 r1 = (u128)d0 * f1 + (u128)d2 * f4_19 + (u128)f3 * f3_19;
-  const u128 r2 = (u128)d0 * f2 + (u128)f1 * f1 + (u128)d3 * f4_19;
-  const u128 r3 = (u128)d0 * f3 + (u128)d1 * f2 + (u128)f4 * f4_19;
-  const u128 r4 = (u128)d0 * f4 + (u128)d1 * f3 + (u128)f2 * f2;
-  return Fe25519(carry_columns(r0, r1, r2, r3, r4));
-}
 
 Fe25519 Fe25519::invert() const {
   // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11.

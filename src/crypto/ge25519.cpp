@@ -1,6 +1,7 @@
 #include "accountnet/crypto/ge25519.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "accountnet/crypto/sc25519.hpp"
 #include "accountnet/util/ensure.hpp"
@@ -22,8 +23,28 @@ const Ge25519& Ge25519::base_point() {
   return b;
 }
 
+namespace {
+
+// RFC 8032 §5.1.3 step 1: the encoded y (sign bit masked) must be below
+// p = 2^255 - 19, whose little-endian bytes are ed ff .. ff 7f.
+bool y_is_canonical(BytesView b32) {
+  if ((b32[31] & 0x7f) != 0x7f) return true;
+  for (std::size_t i = 30; i >= 1; --i) {
+    if (b32[i] != 0xff) return true;
+  }
+  return b32[0] < 0xed;
+}
+
+std::array<std::uint8_t, 32> encode_affine(const Fe25519& x, const Fe25519& y) {
+  auto out = y.to_bytes();
+  if (x.is_negative()) out[31] |= 0x80;
+  return out;
+}
+
+}  // namespace
+
 std::optional<Ge25519> Ge25519::from_bytes(BytesView b32) {
-  if (b32.size() != 32) return std::nullopt;
+  if (b32.size() != 32 || !y_is_canonical(b32)) return std::nullopt;
   const bool sign = (b32[31] & 0x80) != 0;
   const Fe25519 y = Fe25519::from_bytes(b32);  // masks the sign bit
 
@@ -53,24 +74,59 @@ std::optional<Ge25519> Ge25519::from_bytes(BytesView b32) {
 
 std::array<std::uint8_t, 32> Ge25519::to_bytes() const {
   const Fe25519 zinv = z_.invert();
-  const Fe25519 x = x_ * zinv;
-  const Fe25519 y = y_ * zinv;
-  auto out = y.to_bytes();
-  if (x.is_negative()) out[31] |= 0x80;
-  return out;
+  return encode_affine(x_ * zinv, y_ * zinv);
+}
+
+void Ge25519::to_bytes_batch(std::span<const Ge25519> points,
+                             std::span<std::array<std::uint8_t, 32>> out) {
+  AN_ENSURE_MSG(points.size() == out.size(), "Ge25519::to_bytes_batch size mismatch");
+  if (points.empty()) return;
+  // prefix[i] = Z_0 * ... * Z_i. Walking back from 1 / prefix[n-1]:
+  // 1/Z_i = (1/prefix[i]) * prefix[i-1] and 1/prefix[i-1] = (1/prefix[i]) * Z_i.
+  std::vector<Fe25519> prefix(points.size());
+  prefix[0] = points[0].z_;
+  for (std::size_t i = 1; i < points.size(); ++i) prefix[i] = prefix[i - 1] * points[i].z_;
+  Fe25519 inv = prefix.back().invert();
+  for (std::size_t i = points.size() - 1; i > 0; --i) {
+    const Fe25519 zinv = inv * prefix[i - 1];
+    inv = inv * points[i].z_;
+    out[i] = encode_affine(points[i].x_ * zinv, points[i].y_ * zinv);
+  }
+  out[0] = encode_affine(points[0].x_ * inv, points[0].y_ * inv);
+}
+
+struct Ge25519::Cached {
+  Fe25519 ypx;  // Y + X
+  Fe25519 ymx;  // Y - X
+  Fe25519 z2;   // 2Z
+  Fe25519 t2d;  // 2d * T
+};
+
+Ge25519::Cached Ge25519::to_cached() const {
+  return Cached{y_ + x_, y_ - x_, z_ + z_, t_ * fe_edwards_2d()};
+}
+
+Ge25519 Ge25519::add_cached(const Cached& q, bool negate, bool with_t) const {
+  // EFD "add-2008-hwcd-3" for a = -1 with the second operand's sums, 2Z and
+  // 2d*T read from the cache: 8 multiplications, 7 without T. -q swaps
+  // Y + X with Y - X and negates 2d*T, i.e. swaps f and g.
+  const Fe25519 a = (y_ - x_) * (negate ? q.ypx : q.ymx);
+  const Fe25519 b = (y_ + x_) * (negate ? q.ymx : q.ypx);
+  const Fe25519 c = t_ * q.t2d;
+  const Fe25519 d = z_ * q.z2;
+  const Fe25519 e = b - a;
+  const Fe25519 f = negate ? d + c : d - c;
+  const Fe25519 g = negate ? d - c : d + c;
+  const Fe25519 h = b + a;
+  return Ge25519(e * f, g * h, f * g, with_t ? e * h : Fe25519());
 }
 
 Ge25519 Ge25519::add(const Ge25519& rhs) const {
-  // EFD "add-2008-hwcd-3" for a = -1.
-  const Fe25519 a = (y_ - x_) * (rhs.y_ - rhs.x_);
-  const Fe25519 b = (y_ + x_) * (rhs.y_ + rhs.x_);
-  const Fe25519 c = t_ * fe_edwards_2d() * rhs.t_;
-  const Fe25519 d = (z_ + z_) * rhs.z_;
-  const Fe25519 e = b - a;
-  const Fe25519 f = d - c;
-  const Fe25519 g = d + c;
-  const Fe25519 h = b + a;
-  return Ge25519(e * f, g * h, f * g, e * h);
+  return add_cached(rhs.to_cached(), false, true);
+}
+
+Ge25519 Ge25519::sub(const Ge25519& rhs) const {
+  return add_cached(rhs.to_cached(), true, true);
 }
 
 Ge25519 Ge25519::dbl() const {
@@ -112,33 +168,58 @@ std::uint8_t nibble(const Scalar32& s, int n) {
   return (n % 2) ? (byte >> 4) : (byte & 0x0f);
 }
 
-// sum k_i * P_i for N points: one window table of 0..15 * P_i per point and
-// one MSB-first chain of doublings shared by all of them (Straus). Leading
-// zero nibbles cost nothing. Not constant-time (research artifact).
+// Signed radix-16 digits: k = sum e[i] * 16^i with e[0..63] in [-8, 8) and
+// the final carry e[64] in {0, 1}, so 1..8 * P covers every digit.
+std::array<std::int8_t, 65> signed_radix16(const Scalar32& k) {
+  std::array<std::int8_t, 65> e{};
+  int carry = 0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const int digit = nibble(k, static_cast<int>(i)) + carry;
+    carry = (digit + 8) >> 4;
+    e[i] = static_cast<std::int8_t>(digit - (carry << 4));
+  }
+  e[64] = static_cast<std::int8_t>(carry);
+  return e;
+}
+
+}  // namespace
+
+// One table of 1..8 * P_i in cached form per point and one MSB-first chain
+// of doublings shared by all of them. Leading zero digits cost nothing; an
+// addition that a doubling follows skips T. Not constant-time (research
+// artifact).
 template <std::size_t N>
-Ge25519 straus(const std::array<const Ge25519*, N>& points,
-               const std::array<const Scalar32*, N>& scalars) {
-  std::array<std::array<Ge25519, 16>, N> tables;
+Ge25519 Ge25519::straus(const std::array<const Ge25519*, N>& points,
+                        const std::array<const Scalar32*, N>& scalars) {
+  std::array<std::array<Cached, 8>, N> tables;
+  std::array<std::array<std::int8_t, 65>, N> digits;
   for (std::size_t p = 0; p < N; ++p) {
     auto& t = tables[p];
-    t[1] = *points[p];
-    for (std::size_t i = 2; i < 16; ++i) t[i] = t[i - 1].add(*points[p]);
+    t[0] = points[p]->to_cached();
+    Ge25519 multiple = points[p]->dbl();
+    t[1] = multiple.to_cached();
+    for (std::size_t j = 2; j < 8; ++j) {
+      multiple = multiple.add_cached(t[0], false, true);
+      t[j] = multiple.to_cached();
+    }
+    digits[p] = signed_radix16(*scalars[p]);
   }
   Ge25519 acc;
   bool started = false;
-  for (int n = 63; n >= 0; --n) {
+  for (int n = 64; n >= 0; --n) {
+    const auto pos = static_cast<std::size_t>(n);
     if (started) acc = acc.dbl_times(4);
     for (std::size_t p = 0; p < N; ++p) {
-      const std::uint8_t d = nibble(*scalars[p], n);
+      const int d = digits[p][pos];
       if (d == 0) continue;
-      acc = started ? acc.add(tables[p][d]) : tables[p][d];
+      bool with_t = n == 0;  // the result itself needs T
+      for (std::size_t later = p + 1; later < N; ++later) with_t |= digits[later][pos] != 0;
+      acc = acc.add_cached(tables[p][static_cast<std::size_t>(d < 0 ? -d : d) - 1], d < 0, with_t);
       started = true;
     }
   }
   return acc;
 }
-
-}  // namespace
 
 Ge25519 Ge25519::scalar_mul(const std::array<std::uint8_t, 32>& scalar_le) const {
   return straus<1>({this}, {&scalar_le});
@@ -165,7 +246,7 @@ struct Ge25519::Precomp {
 };
 
 Ge25519 Ge25519::madd(const Precomp& p, bool negate) const {
-  // add() with Z2 = 1 and T2 = x2 * y2 folded into the table entry. -p
+  // add_cached() with Z2 = 1 and T2 = x2 * y2 folded into the table entry. -p
   // swaps y + x with y - x and negates 2d * x * y, i.e. swaps f and g.
   const Fe25519 a = (y_ - x_) * (negate ? p.ypx : p.ymx);
   const Fe25519 b = (y_ + x_) * (negate ? p.ymx : p.ypx);
@@ -200,19 +281,13 @@ Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le) {
     return t;
   }();
 
-  // Signed radix-16 digits: scalar = sum e[i] * 16^i with e[0..62] in
-  // [-8, 8) and e[63] in [0, 8], which holds for scalars below 2^255.
-  // Larger inputs are reduced first; k * B depends only on k mod L.
+  // The table has 64 rows, so the final carry is folded into the top digit:
+  // e[63] + 16 * e[64] lies in [0, 8] for scalars below 2^255. Larger inputs
+  // are reduced first; k * B depends only on k mod L.
   Scalar32 k = scalar_le;
   if (k[31] & 0x80) k = Scalar::reduce(k).bytes();
-  std::array<int, 64> e{};
-  int carry = 0;
-  for (int i = 0; i < 63; ++i) {
-    const int digit = nibble(k, i) + carry;
-    carry = (digit + 8) >> 4;
-    e[static_cast<std::size_t>(i)] = digit - (carry << 4);
-  }
-  e[63] = nibble(k, 63) + carry;
+  auto e = signed_radix16(k);
+  e[63] = static_cast<std::int8_t>(e[63] + 16 * e[64]);
 
   Ge25519 acc = Ge25519::identity();
   for (std::size_t i = 0; i < 64; ++i) {
@@ -225,7 +300,7 @@ Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le) {
 
 Ge25519 ge_double_scalar_mul(const Ge25519& p, const std::array<std::uint8_t, 32>& a,
                              const Ge25519& q, const std::array<std::uint8_t, 32>& b) {
-  return straus<2>({&p, &q}, {&a, &b});
+  return Ge25519::straus<2>({&p, &q}, {&a, &b});
 }
 
 }  // namespace accountnet::crypto

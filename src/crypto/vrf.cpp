@@ -1,5 +1,6 @@
 #include "accountnet/crypto/vrf.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "accountnet/crypto/ge25519.hpp"
@@ -13,6 +14,8 @@ namespace {
 
 constexpr std::uint8_t kSuite = 0x03;  // ECVRF-EDWARDS25519-SHA512-TAI
 constexpr std::size_t kChallengeLen = 16;
+
+using Encoding = std::array<std::uint8_t, 32>;
 
 struct ExpandedSecret {
   Scalar x;
@@ -86,9 +89,9 @@ Scalar challenge_scalar(const std::array<std::uint8_t, kChallengeLen>& c) {
   return Scalar::reduce(BytesView(c.data(), c.size()));
 }
 
-/// RFC 9381 §5.2 proof_to_hash given Gamma: SHA-512(suite || 0x03 || 8*Gamma || 0x00).
-VrfOutput gamma_to_hash(const Ge25519& gamma) {
-  const auto cofactor_gamma = gamma.mul_by_cofactor().to_bytes();
+/// RFC 9381 §5.2 proof_to_hash given the encoding of 8*Gamma:
+/// SHA-512(suite || 0x03 || 8*Gamma || 0x00).
+VrfOutput cofactor_gamma_to_hash(const Encoding& cofactor_gamma) {
   Sha512 h;
   const std::uint8_t front[2] = {kSuite, 0x03};
   h.update(BytesView(front, 2));
@@ -104,47 +107,88 @@ Ge25519 encode_to_curve(BytesView pk, BytesView alpha) {
   return *h_point;
 }
 
+/// The part of a draw that vrf_output and vrf_prove share: H =
+/// encode_to_curve(pk, alpha), the encodings of H and Gamma = x*H, and beta.
+/// The sampler asks for the output and then the proof of the same alpha, so
+/// each thread remembers its last draw. Everything here is public: Gamma and
+/// beta follow from the proof, H from (pk, alpha). Keying on pk is sound
+/// because pk = x*B fixes x mod L, which fixes Gamma = x*H (H has order L).
+struct Draw {
+  Encoding pk{};
+  Bytes alpha;
+  Ge25519 h;
+  Encoding h_enc{};
+  Encoding gamma_enc{};
+  VrfOutput beta{};
+};
+
+thread_local std::optional<Draw> t_last_draw;
+
+/// The thread's last draw if it is (kp, alpha); otherwise computes the draw,
+/// with one inversion for H, Gamma and 8*Gamma, and remembers it instead.
+const Draw& draw_for(const Ed25519KeyPair& kp, BytesView alpha) {
+  auto& d = t_last_draw;
+  if (d && d->pk == kp.public_key &&
+      std::equal(d->alpha.begin(), d->alpha.end(), alpha.begin(), alpha.end())) {
+    return *d;
+  }
+  const Ge25519 h = encode_to_curve(kp.public_key, alpha);
+  const Ge25519 gamma = h.scalar_mul(expand(kp).x.bytes());
+  const std::array<Ge25519, 3> points{h, gamma, gamma.mul_by_cofactor()};
+  std::array<Encoding, 3> enc{};  // H, Gamma, 8*Gamma
+  Ge25519::to_bytes_batch(points, enc);
+
+  if (!d) d.emplace();
+  d->pk = kp.public_key;
+  d->alpha.assign(alpha.begin(), alpha.end());
+  d->h = h;
+  d->h_enc = enc[0];
+  d->gamma_enc = enc[1];
+  d->beta = cofactor_gamma_to_hash(enc[2]);
+  return *d;
+}
+
 }  // namespace
 
 VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha) {
+  const Draw& draw = draw_for(kp, alpha);
   const auto sk = expand(kp);
-  const Ge25519 h_point = encode_to_curve(kp.public_key, alpha);
-  const auto h_enc = h_point.to_bytes();
 
-  const Ge25519 gamma = h_point.scalar_mul(sk.x.bytes());
-  const auto gamma_enc = gamma.to_bytes();
+  // The nonce hashes H's encoding, so U and V cannot share H's inversion;
+  // they share one of their own.
+  const Scalar k = make_nonce(sk, draw.h_enc);
+  const std::array<Ge25519, 2> points{ge_scalar_mul_base(k.bytes()), draw.h.scalar_mul(k.bytes())};
+  std::array<Encoding, 2> enc{};  // U, V
+  Ge25519::to_bytes_batch(points, enc);
 
-  const Scalar k = make_nonce(sk, h_enc);
-  const auto u_enc = ge_scalar_mul_base(k.bytes()).to_bytes();
-  const auto v_enc = h_point.scalar_mul(k.bytes()).to_bytes();
-
-  const auto c = make_challenge(kp.public_key, h_enc, gamma_enc, u_enc, v_enc);
+  const auto c = make_challenge(kp.public_key, draw.h_enc, draw.gamma_enc, enc[0], enc[1]);
   const Scalar s = Scalar::muladd(challenge_scalar(c), sk.x, k);
 
   VrfProof proof{};
-  std::memcpy(proof.data(), gamma_enc.data(), 32);
+  std::memcpy(proof.data(), draw.gamma_enc.data(), 32);
   std::memcpy(proof.data() + 32, c.data(), kChallengeLen);
   std::memcpy(proof.data() + 48, s.bytes().data(), 32);
   return proof;
 }
 
 VrfOutput vrf_output(const Ed25519KeyPair& kp, BytesView alpha) {
-  const Ge25519 h_point = encode_to_curve(kp.public_key, alpha);
-  return gamma_to_hash(h_point.scalar_mul(expand(kp).x.bytes()));
+  return draw_for(kp, alpha).beta;
 }
 
 VrfOutput vrf_proof_to_hash(const VrfProof& proof) {
   const auto gamma = Ge25519::from_bytes(BytesView(proof.data(), 32));
   AN_ENSURE_MSG(gamma.has_value(), "vrf_proof_to_hash: bad Gamma encoding");
-  return gamma_to_hash(*gamma);
+  return cofactor_gamma_to_hash(gamma->mul_by_cofactor().to_bytes());
 }
 
 std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
                                     BytesView proof80) {
   if (public_key32.size() != 32 || proof80.size() != kVrfProofSize) return std::nullopt;
 
+  // RFC 9381 §5.4.5 ECVRF_validate_key: Y must decode and must not have
+  // small order (8*Y = identity), or proofs could be forged for it.
   const auto y = Ge25519::from_bytes(public_key32);
-  if (!y) return std::nullopt;
+  if (!y || y->mul_by_cofactor().is_identity()) return std::nullopt;
   const auto gamma = Ge25519::from_bytes(proof80.first(32));
   if (!gamma) return std::nullopt;
 
@@ -155,7 +199,6 @@ std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
 
   const auto h_point = hash_to_curve_tai(public_key32, alpha);
   if (!h_point) return std::nullopt;
-  const auto h_enc = h_point->to_bytes();
 
   const Scalar c_scalar = challenge_scalar(c);
 
@@ -163,13 +206,20 @@ std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
   const Ge25519 u = ge_scalar_mul_base(s.bytes()).sub(y->scalar_mul(c_scalar.bytes()));
   const Ge25519 v = ge_double_scalar_mul(*h_point, s.bytes(), gamma->negate(), c_scalar.bytes());
 
-  const auto expected =
-      make_challenge(public_key32, h_enc, gamma->to_bytes(), u.to_bytes(), v.to_bytes());
+  // Gamma's encoding is the proof's own first 32 bytes: from_bytes accepts
+  // only canonical encodings, so re-encoding would reproduce them.
+  const std::array<Ge25519, 4> points{*h_point, u, v, gamma->mul_by_cofactor()};
+  std::array<Encoding, 4> enc{};  // H, U, V, 8*Gamma
+  Ge25519::to_bytes_batch(points, enc);
+  Encoding gamma_enc{};
+  std::memcpy(gamma_enc.data(), proof80.data(), 32);
+
+  const auto expected = make_challenge(public_key32, enc[0], gamma_enc, enc[1], enc[2]);
   if (!ct_equal(BytesView(expected.data(), expected.size()), BytesView(c.data(), c.size()))) {
     return std::nullopt;
   }
 
-  return gamma_to_hash(*gamma);
+  return cofactor_gamma_to_hash(enc[3]);
 }
 
 }  // namespace accountnet::crypto

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "accountnet/crypto/ed25519.hpp"
+#include "accountnet/crypto/ge25519.hpp"
+#include "accountnet/crypto/sc25519.hpp"
 #include "accountnet/util/rng.hpp"
 
 namespace accountnet::crypto {
@@ -116,6 +118,18 @@ TEST(Ed25519, NonCanonicalSRejected) {
   Bytes bad(sig.begin(), sig.end());
   for (std::size_t i = 32; i < 64; ++i) bad[i] = 0xff;  // way above L
   EXPECT_FALSE(ed25519_verify(kp.public_key, msg, bad));
+}
+
+// y = p + 1 used to decode to the identity, a second encoding of it. Under
+// A = identity, R = r*B with S = r satisfies S*B == R + k*A for every
+// message, so that encoding must not decode (RFC 8032 §5.1.3: y >= p fails).
+TEST(Ed25519, NonCanonicalPublicKeyRejected) {
+  const Bytes a = from_hex("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  const Scalar r = Scalar::from_u64(987654321);
+  Bytes sig;
+  append(sig, ge_scalar_mul_base(r.bytes()).to_bytes());
+  append(sig, r.bytes());
+  EXPECT_FALSE(ed25519_verify(a, bytes_of("any message"), sig));
 }
 
 TEST(Ed25519, MalformedInputsRejected) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "accountnet/crypto/ge25519.hpp"
@@ -52,8 +53,25 @@ std::vector<std::array<std::uint8_t, 32>> edge_scalars() {
   std::array<std::uint8_t, 32> all88{};
   all88.fill(0x88);
   out.push_back(all88);
+  // 2^256 - 1: every signed digit is -1 and the final carry is 1. All-0x08
+  // bytes: every other digit is 8, which recodes to -8 with a carry.
+  std::array<std::uint8_t, 32> all_ff{};
+  all_ff.fill(0xff);
+  out.push_back(all_ff);
+  std::array<std::uint8_t, 32> all08{};
+  all08.fill(0x08);
+  out.push_back(all08);
   return out;
 }
+
+Ge25519 decode_hex(const char* hex) {
+  const auto p = Ge25519::from_bytes(from_hex(hex));
+  EXPECT_TRUE(p.has_value()) << hex;
+  return p.value_or(Ge25519::identity());
+}
+
+// A point of order 8 (canonical encoding).
+const char* kOrder8 = "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05";
 
 TEST(Ge25519, IdentityEncoding) {
   EXPECT_EQ(to_hex(Ge25519::identity().to_bytes()),
@@ -169,6 +187,61 @@ TEST(Ge25519, RejectsNegativeZeroX) {
   EXPECT_TRUE(p->is_identity());
 }
 
+TEST(Ge25519, RejectsNonCanonicalY) {
+  // y = p and y = p + 1 reduce to 0 and 1: without the check they decode to
+  // the order-4 points and to the identity, second encodings of points that
+  // already have one. RFC 8032 §5.1.3 requires decoding to fail for y >= p.
+  for (const char* hex : {
+           "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = p
+           "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+           "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = p + 1
+           "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+           "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = 2^255 - 1
+       }) {
+    EXPECT_FALSE(Ge25519::from_bytes(from_hex(hex)).has_value()) << hex;
+  }
+  // y = p - 1 is canonical: the point (0, -1) of order 2.
+  const auto minus_one = Ge25519::from_bytes(
+      from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"));
+  ASSERT_TRUE(minus_one.has_value());
+  EXPECT_FALSE(minus_one->is_identity());
+  EXPECT_TRUE(minus_one->dbl().is_identity());
+  // The canonical encodings of what y = p and y = p + 1 used to decode to.
+  EXPECT_TRUE(decode_hex("0000000000000000000000000000000000000000000000000000000000000000")
+                  .dbl_times(2)
+                  .is_identity());
+  EXPECT_TRUE(decode_hex("0100000000000000000000000000000000000000000000000000000000000000")
+                  .is_identity());
+}
+
+TEST(Ge25519, BatchEncodingMatchesToBytes) {
+  Rng rng(205);
+  const auto& b = Ge25519::base_point();
+  // Z = 1 points (decompressed), the identity, projective points from
+  // additions and multiplications, and points outside the prime-order
+  // subgroup.
+  std::vector<Ge25519> pool = {
+      decode_hex("5866666666666666666666666666666666666666666666666666666666666666"),
+      Ge25519::identity(),
+      b.scalar_mul(random_scalar(rng)),
+      decode_hex(kOrder8),
+      b.dbl().add(b),
+      Ge25519::from_bytes(b.scalar_mul(random_scalar(rng)).to_bytes()).value(),
+      b.scalar_mul(random_scalar(rng)).negate(),
+      b.sub(b),
+  };
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for (std::size_t first = 0; first + n <= pool.size(); ++first) {
+      std::vector<std::array<std::uint8_t, 32>> out(n);
+      Ge25519::to_bytes_batch(std::span(pool).subspan(first, n), out);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], pool[first + i].to_bytes()) << "n=" << n << " point " << first + i;
+      }
+    }
+  }
+  Ge25519::to_bytes_batch({}, {});  // an empty batch does nothing
+}
+
 TEST(Ge25519, CofactorMulIsThreeDoublings) {
   const auto p = Ge25519::base_point().scalar_mul(scalar_of(999));
   EXPECT_EQ(p.mul_by_cofactor(), p.scalar_mul(scalar_of(8)));
@@ -210,6 +283,26 @@ TEST(Ge25519, BaseTableMatchesVariableBaseOnRandomScalars) {
     if (i < 8) {
       EXPECT_EQ(reference_mul(b, k).to_bytes(), expected) << to_hex(k);
     }
+  }
+}
+
+// The signed windows use the scalar's full 256 bits (the final carry digit
+// included) and never reduce it mod L, so on points with a torsion
+// component they must still agree with plain double-and-add.
+TEST(Ge25519, SignedWindowsMatchReferenceOnTorsionPoints) {
+  Rng rng(206);
+  const Ge25519 t8 = decode_hex(kOrder8);
+  ASSERT_FALSE(t8.dbl_times(2).is_identity());
+  ASSERT_TRUE(t8.mul_by_cofactor().is_identity());
+  const Ge25519 p = ge_scalar_mul_base(random_scalar(rng)).add(t8);
+  const Ge25519 q = t8.negate();
+  for (const auto& k : edge_scalars()) {
+    const auto expected = reference_mul(p, k);
+    EXPECT_EQ(p.scalar_mul(k).to_bytes(), expected.to_bytes()) << to_hex(k);
+    EXPECT_EQ(q.scalar_mul(k).to_bytes(), reference_mul(q, k).to_bytes()) << to_hex(k);
+    EXPECT_EQ(ge_double_scalar_mul(p, k, q, k).to_bytes(),
+              expected.add(reference_mul(q, k)).to_bytes())
+        << to_hex(k);
   }
 }
 

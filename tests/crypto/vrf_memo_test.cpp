@@ -1,0 +1,151 @@
+// The per-thread draw memo under vrf_output/vrf_prove: whichever order the
+// calls come in, on whichever thread, with whatever interleaving of keys and
+// alphas, every proof and output equals the one a fresh thread (an empty
+// memo) computes.
+#include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
+
+#include "accountnet/crypto/provider.hpp"
+#include "accountnet/crypto/vrf.hpp"
+#include "accountnet/util/rng.hpp"
+
+namespace accountnet::crypto {
+namespace {
+
+Bytes seed_bytes(std::uint64_t seed_val) {
+  Rng rng(seed_val);
+  Bytes seed(32);
+  for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next_u64());
+  return seed;
+}
+
+Ed25519KeyPair keypair(std::uint64_t seed_val) {
+  return ed25519_keypair_from_seed(seed_bytes(seed_val));
+}
+
+struct Draw {
+  VrfProof proof;
+  VrfOutput output;
+};
+
+// Proof and output computed on a new thread, whose memo starts empty, each
+// as that thread's first call.
+Draw fresh_draw(const Ed25519KeyPair& kp, const Bytes& alpha) {
+  Draw d{};
+  std::thread([&] { d.proof = vrf_prove(kp, alpha); }).join();
+  std::thread([&] { d.output = vrf_output(kp, alpha); }).join();
+  return d;
+}
+
+TEST(VrfDrawMemo, OutputThenProveMatchesFreshThread) {
+  const auto kp = keypair(41);
+  for (int i = 0; i < 4; ++i) {
+    const Bytes alpha = bytes_of("draw " + std::to_string(i));
+    const Draw expected = fresh_draw(kp, alpha);
+    EXPECT_EQ(vrf_output(kp, alpha), expected.output);  // miss
+    EXPECT_EQ(vrf_prove(kp, alpha), expected.proof);    // hit
+    EXPECT_EQ(vrf_output(kp, alpha), expected.output);  // hit again
+    EXPECT_EQ(vrf_proof_to_hash(expected.proof), expected.output);
+  }
+}
+
+TEST(VrfDrawMemo, ProveBeforeOutput) {
+  const auto kp = keypair(42);
+  const Bytes alpha = bytes_of("prove first");
+  const Draw expected = fresh_draw(kp, alpha);
+  EXPECT_EQ(vrf_prove(kp, alpha), expected.proof);    // miss
+  EXPECT_EQ(vrf_output(kp, alpha), expected.output);  // hit
+  EXPECT_EQ(vrf_prove(kp, alpha), expected.proof);    // hit
+  ASSERT_TRUE(vrf_verify(kp.public_key, alpha, expected.proof).has_value());
+}
+
+TEST(VrfDrawMemo, InterleavedAlphas) {
+  const auto kp = keypair(43);
+  const Bytes a1 = bytes_of("alpha one");
+  const Bytes a2 = bytes_of("alpha two");
+  const Draw d1 = fresh_draw(kp, a1);
+  const Draw d2 = fresh_draw(kp, a2);
+  EXPECT_EQ(vrf_output(kp, a1), d1.output);
+  EXPECT_EQ(vrf_output(kp, a2), d2.output);
+  EXPECT_EQ(vrf_prove(kp, a1), d1.proof);  // a2 evicted a1: a miss
+  EXPECT_EQ(vrf_prove(kp, a2), d2.proof);
+  // An alpha that is a prefix of the remembered one is a different input.
+  const Bytes prefix(a2.begin(), a2.end() - 1);
+  EXPECT_EQ(vrf_output(kp, prefix), fresh_draw(kp, prefix).output);
+  EXPECT_EQ(vrf_output(kp, Bytes{}), fresh_draw(kp, Bytes{}).output);
+}
+
+TEST(VrfDrawMemo, TwoKeypairsOnOneThread) {
+  const auto kp1 = keypair(44);
+  const auto kp2 = keypair(45);
+  const Bytes alpha = bytes_of("shared alpha");
+  const Draw d1 = fresh_draw(kp1, alpha);
+  const Draw d2 = fresh_draw(kp2, alpha);
+  EXPECT_EQ(vrf_output(kp1, alpha), d1.output);
+  EXPECT_EQ(vrf_prove(kp2, alpha), d2.proof);  // same alpha, other key: a miss
+  EXPECT_EQ(vrf_output(kp2, alpha), d2.output);
+  EXPECT_EQ(vrf_prove(kp1, alpha), d1.proof);
+  EXPECT_NE(d1.output, d2.output);
+}
+
+// The memo sits below Signer, so the provider's signer hits it too.
+TEST(VrfDrawMemo, SignerOutputThenProve) {
+  const auto signer = make_real_crypto()->make_signer(seed_bytes(46));
+  const auto kp = keypair(46);
+  const Bytes alpha = bytes_of("signer draw");
+  const Draw expected = fresh_draw(kp, alpha);
+  EXPECT_EQ(signer->vrf_output(alpha), expected.output);
+  const Bytes proof = signer->vrf_prove(alpha);
+  EXPECT_EQ(proof, Bytes(expected.proof.begin(), expected.proof.end()));
+}
+
+// Four threads draw at once, each interleaving its own keys and alphas in
+// the sampler's output-then-prove order and in the reverse order; every
+// result must equal the sequential one. Run under TSan in CI.
+TEST(VrfDrawMemo, ConcurrentThreadsMatchSequential) {
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 6;
+  struct Job {
+    Ed25519KeyPair kp;
+    Bytes alpha;
+    Draw expected;
+    Draw got;
+  };
+  std::vector<std::vector<Job>> jobs(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kDraws; ++i) {
+      Job j{};
+      j.kp = keypair(static_cast<std::uint64_t>(50 + (t + i) % 3));  // keys shared across threads
+      j.alpha = bytes_of("t" + std::to_string(t) + " i" + std::to_string(i % 4));
+      j.expected.proof = vrf_prove(j.kp, j.alpha);
+      j.expected.output = vrf_proof_to_hash(j.expected.proof);
+      jobs[static_cast<std::size_t>(t)].push_back(std::move(j));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&jobs, t] {
+      for (auto& j : jobs[static_cast<std::size_t>(t)]) {
+        if (t % 2 == 0) {
+          j.got.output = vrf_output(j.kp, j.alpha);
+          j.got.proof = vrf_prove(j.kp, j.alpha);
+        } else {
+          j.got.proof = vrf_prove(j.kp, j.alpha);
+          j.got.output = vrf_output(j.kp, j.alpha);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& j : jobs[static_cast<std::size_t>(t)]) {
+      EXPECT_EQ(j.got.proof, j.expected.proof) << "thread " << t;
+      EXPECT_EQ(j.got.output, j.expected.output) << "thread " << t;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace accountnet::crypto
