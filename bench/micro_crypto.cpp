@@ -29,14 +29,35 @@ Bytes make_payload(std::size_t size) {
   return data;
 }
 
+// Labelled with the compression this CPU runs ("sha-ni" or "portable").
 void BM_Sha256(benchmark::State& state) {
   const Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::hash(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(Sha256::implementation());
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+// The same hash on the portable rounds whatever the CPU: the payload and its
+// FIPS padding (built once) through detail::sha256_compress_portable.
+void BM_Sha256Portable(benchmark::State& state) {
+  Bytes blocks = make_payload(static_cast<std::size_t>(state.range(0)));
+  const std::uint64_t bits = static_cast<std::uint64_t>(blocks.size()) * 8;
+  blocks.push_back(0x80);
+  while (blocks.size() % 64 != 56) blocks.push_back(0);
+  for (int i = 7; i >= 0; --i) blocks.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  for (auto _ : state) {
+    std::uint32_t h[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+                          0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+    detail::sha256_compress_portable(h, blocks.data(), blocks.size() / 64);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel("portable");
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_Sha512(benchmark::State& state) {
   const Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));

@@ -1,35 +1,18 @@
-// Deterministic discrete-event simulator, two scheduling modes.
+// Deterministic discrete-event simulator.
 //
 // This substitutes for the paper's EC2 testbed: virtual time advances only
 // through scheduled events, so a 10 000-node AccountNet network running for
 // hundreds of virtual seconds executes reproducibly in one process.
 //
-// Sequential mode (the default API: schedule/step/run_until) fires events at
-// equal timestamps in schedule order (a monotonic sequence number breaks
-// ties), which makes runs bit-for-bit repeatable for a fixed seed.
-//
-// Sharded parallel mode (enable_sharding + schedule_shard + run_epochs)
-// partitions events across N shards, each with its own (when, seq) queue,
-// and drains all shards concurrently in epochs of simulated time with a
-// barrier between epochs. Shard-local events must only touch shard-local
-// state; cross-shard communication goes through post_cross() mailboxes that
-// are flushed at the barrier in deterministic (source shard, seq) order and
-// land no earlier than the next epoch. Under those rules the result is
-// invariant to the worker thread count — see docs/PARALLELISM.md for the
-// full determinism argument and the rules an event callback must obey.
+// Events at equal timestamps fire in schedule order (a monotonic sequence
+// number breaks ties), which makes runs bit-for-bit repeatable for a fixed
+// seed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
-
-#include "accountnet/obs/metrics.hpp"
-
-namespace accountnet::util {
-class WorkerPool;
-}
 
 namespace accountnet::sim {
 
@@ -63,64 +46,14 @@ class Simulator {
   /// Runs until the event queue drains.
   void run();
 
-  std::size_t pending() const;
-  std::uint64_t events_processed() const {
-    std::uint64_t n = events_processed_;
-    for (const auto& s : shards_) n += s.events_processed;
-    return n;
-  }
+  std::size_t pending() const { return queue_.size(); }
+  std::uint64_t events_processed() const { return events_processed_; }
 
   /// Timestamp of the earliest pending event, or nullopt when the queue is
   /// empty. Lets a real-time host (net::RealNetHost) sleep exactly until the
   /// next virtual deadline instead of polling.
   std::optional<TimePoint> next_event_time() const;
   bool has_next() const { return next_event_time().has_value(); }
-
-  // --- Sharded parallel mode ------------------------------------------------
-  //
-  // Opt-in second scheduling mode. The sequential API above keeps working
-  // (its events run on shard 0); a simulator that never calls
-  // enable_sharding() behaves byte-identically to the pre-sharding class.
-
-  /// Partitions the event space into `shards` independent queues. Must be
-  /// called before any schedule_shard/post_cross; shards >= 1.
-  void enable_sharding(std::size_t shards);
-  std::size_t shard_count() const { return shards_.empty() ? 1 : shards_.size(); }
-
-  /// Schedules a shard-local event. The callback runs on an arbitrary worker
-  /// thread during the epoch containing `now + delay` and MUST NOT touch any
-  /// other shard's state (use post_cross for that).
-  void schedule_shard(std::size_t shard, Duration delay, std::function<void()> fn);
-
-  /// Current virtual time of one shard (== the sequential clock for shard 0
-  /// outside run_epochs; shards advance independently within an epoch).
-  TimePoint shard_now(std::size_t shard) const;
-
-  /// Cross-shard send, callable from inside a shard event running on any
-  /// worker thread. The message is buffered in the (from, to) mailbox and
-  /// delivered as an event on shard `to` at max(next epoch start, when);
-  /// mailboxes are flushed at the barrier in (from, seq) order, so delivery
-  /// order never depends on worker scheduling.
-  void post_cross(std::size_t from, std::size_t to, Duration delay,
-                  std::function<void()> fn);
-
-  /// Drains every shard up to `deadline` in epochs of width `epoch_us`. Each
-  /// epoch runs all shards' due events concurrently on `pool` (nullptr =>
-  /// inline, still epoch-ordered), then a barrier flushes the cross-shard
-  /// mailboxes. Results are bit-identical for every pool size, including
-  /// none, provided events obey the shard-confinement rules above.
-  void run_epochs(TimePoint deadline, Duration epoch_us, util::WorkerPool* pool);
-
-  /// Sharded-mode progress counters (0 when sharding is unused).
-  std::uint64_t epochs_run() const { return epochs_run_; }
-  std::uint64_t cross_posts() const { return cross_posts_; }
-
-  /// Mirrors sharded-mode progress into `sim.shard.{epochs,events,
-  /// cross_posts}` counters on `registry` at every epoch barrier (the
-  /// single-threaded section, so the owning-thread interning rule holds).
-  /// Lazily interned: never attaching a registry — every sequential-mode
-  /// user — leaves scrapes byte-identical to the pre-sharding simulator.
-  void attach_metrics(obs::MetricsRegistry* registry);
 
  private:
   struct Event {
@@ -133,38 +66,13 @@ class Simulator {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
-  using Queue = std::priority_queue<Event, std::vector<Event>, Later>;
-
-  struct Shard {
-    Queue queue;
-    TimePoint now = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t events_processed = 0;
-    /// Outbound mailboxes, one per destination shard, drained at the barrier.
-    struct CrossMsg {
-      std::size_t to;
-      TimePoint when;
-      std::uint64_t seq;  ///< source-shard sequence — the deterministic order
-      std::function<void()> fn;
-    };
-    std::vector<CrossMsg> outbox;
-  };
-
-  /// Runs shard `s` up to `limit` (events with when <= limit); worker-thread
-  /// body of run_epochs.
-  void drain_shard_until(Shard& s, TimePoint limit);
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  Queue queue_;
-
-  std::vector<Shard> shards_;  ///< empty until enable_sharding()
-  std::uint64_t epochs_run_ = 0;
-  std::uint64_t cross_posts_ = 0;
-
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::MetricId id_epochs_ = 0, id_events_ = 0, id_cross_ = 0;
+  /// Binary heap under Later (std::push_heap/pop_heap), so step() can move
+  /// the earliest event out instead of copying it.
+  std::vector<Event> queue_;
 };
 
 }  // namespace accountnet::sim

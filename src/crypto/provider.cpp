@@ -1,7 +1,7 @@
 #include "accountnet/crypto/provider.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -126,23 +126,32 @@ class RealCryptoProvider final : public CryptoProvider {
 // the protocol logic needs — while forgery resistance is explicitly absent.
 // ---------------------------------------------------------------------------
 
-PublicKeyBytes fast_public_key(BytesView seed32) {
-  const Bytes material = concat(bytes_of("fastpk"), seed32);
-  const auto digest = Sha256::hash(material);
-  PublicKeyBytes pk;
-  std::memcpy(pk.data(), digest.data(), 32);
-  return pk;
+BytesView tag_bytes(std::string_view tag) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(tag.data()), tag.size());
 }
 
-Bytes fast_sign(const PublicKeyBytes& pk, BytesView msg) {
-  const Bytes material = concat(bytes_of("fastsig"), pk, msg);
-  const auto digest = Sha256::hash(material);
-  return Bytes(digest.begin(), digest.end());
+// Each stand-in hashes tag || key || message, streamed into the hash.
+PublicKeyBytes fast_public_key(BytesView seed32) {
+  Sha256 h;
+  h.update(tag_bytes("fastpk"));
+  h.update(seed32);
+  return h.finish();
+}
+
+Sha256::Digest fast_sign(const PublicKeyBytes& pk, BytesView msg) {
+  Sha256 h;
+  h.update(tag_bytes("fastsig"));
+  h.update(pk);
+  h.update(msg);
+  return h.finish();
 }
 
 std::array<std::uint8_t, 64> fast_vrf_output(const PublicKeyBytes& pk, BytesView alpha) {
-  const Bytes material = concat(bytes_of("fastvrf"), pk, alpha);
-  return Sha512::hash(material);
+  Sha512 h;
+  h.update(tag_bytes("fastvrf"));
+  h.update(pk);
+  h.update(alpha);
+  return h.finish();
 }
 
 class FastSigner final : public Signer {
@@ -151,7 +160,10 @@ class FastSigner final : public Signer {
 
   const PublicKeyBytes& public_key() const override { return pk_; }
 
-  Bytes sign(BytesView msg) const override { return fast_sign(pk_, msg); }
+  Bytes sign(BytesView msg) const override {
+    const auto sig = fast_sign(pk_, msg);
+    return Bytes(sig.begin(), sig.end());
+  }
 
   Bytes vrf_prove(BytesView alpha) const override {
     // The "proof" is the output itself; verification recomputes it.
@@ -174,7 +186,7 @@ class FastCryptoProvider final : public CryptoProvider {
   }
 
   bool verify(const PublicKeyBytes& pk, BytesView msg, BytesView sig) const override {
-    const Bytes expected = fast_sign(pk, msg);
+    const auto expected = fast_sign(pk, msg);
     return ct_equal(expected, sig);
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "accountnet/util/ensure.hpp"
-#include "accountnet/util/worker_pool.hpp"
 
 namespace accountnet::sim {
 
@@ -14,15 +13,15 @@ void Simulator::schedule(Duration delay, std::function<void()> fn) {
 
 void Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
   AN_ENSURE_MSG(when >= now_, "cannot schedule into the past");
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{when, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top returns const&; move out via const_cast is UB-adjacent,
-  // so copy the function handle (cheap: shared state inside std::function).
-  Event ev = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.when;
   ++events_processed_;
   ev.fn();
@@ -30,7 +29,7 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(TimePoint deadline) {
-  while (!queue_.empty() && queue_.top().when <= deadline) {
+  while (!queue_.empty() && queue_.front().when <= deadline) {
     step();
   }
   if (now_ < deadline) now_ = deadline;
@@ -41,115 +40,9 @@ void Simulator::run() {
   }
 }
 
-std::size_t Simulator::pending() const {
-  std::size_t n = queue_.size();
-  for (const auto& s : shards_) n += s.queue.size();
-  return n;
-}
-
 std::optional<TimePoint> Simulator::next_event_time() const {
   if (queue_.empty()) return std::nullopt;
-  return queue_.top().when;
-}
-
-// --- Sharded parallel mode ---------------------------------------------------
-
-void Simulator::enable_sharding(std::size_t shards) {
-  AN_ENSURE_MSG(shards >= 1, "need at least one shard");
-  AN_ENSURE_MSG(shards_.empty(), "sharding already enabled");
-  shards_.resize(shards);
-  for (auto& s : shards_) s.now = now_;
-}
-
-void Simulator::schedule_shard(std::size_t shard, Duration delay,
-                               std::function<void()> fn) {
-  AN_ENSURE_MSG(shard < shards_.size(), "shard out of range");
-  AN_ENSURE_MSG(delay >= 0, "cannot schedule into the past");
-  Shard& s = shards_[shard];
-  s.queue.push(Event{s.now + delay, s.next_seq++, std::move(fn)});
-}
-
-TimePoint Simulator::shard_now(std::size_t shard) const {
-  AN_ENSURE_MSG(shard < shards_.size(), "shard out of range");
-  return shards_[shard].now;
-}
-
-void Simulator::post_cross(std::size_t from, std::size_t to, Duration delay,
-                           std::function<void()> fn) {
-  AN_ENSURE_MSG(from < shards_.size() && to < shards_.size(), "shard out of range");
-  AN_ENSURE_MSG(delay >= 0, "cannot schedule into the past");
-  Shard& s = shards_[from];
-  // Source-shard seq numbers the message; the barrier flush sorts by
-  // (source shard, seq), so delivery order is a pure function of the
-  // simulation, never of worker interleaving.
-  s.outbox.push_back(
-      Shard::CrossMsg{to, s.now + delay, s.next_seq++, std::move(fn)});
-}
-
-void Simulator::drain_shard_until(Shard& s, TimePoint limit) {
-  while (!s.queue.empty() && s.queue.top().when <= limit) {
-    Event ev = s.queue.top();
-    s.queue.pop();
-    s.now = ev.when;
-    ++s.events_processed;
-    ev.fn();
-  }
-  if (s.now < limit) s.now = limit;
-}
-
-void Simulator::attach_metrics(obs::MetricsRegistry* registry) {
-  registry_ = registry;
-  if (registry_ != nullptr) {
-    id_epochs_ = registry_->counter("sim.shard.epochs");
-    id_events_ = registry_->counter("sim.shard.events");
-    id_cross_ = registry_->counter("sim.shard.cross_posts");
-  }
-}
-
-void Simulator::run_epochs(TimePoint deadline, Duration epoch_us,
-                           util::WorkerPool* pool) {
-  AN_ENSURE_MSG(!shards_.empty(), "enable_sharding first");
-  AN_ENSURE_MSG(epoch_us >= 1, "epoch width must be positive");
-  while (now_ < deadline) {
-    const TimePoint epoch_end = std::min<TimePoint>(now_ + epoch_us, deadline);
-    const std::uint64_t events_before = events_processed();
-    const std::uint64_t cross_before = cross_posts_;
-    // Parallel region: each shard drains its own queue up to the epoch end.
-    // Events may only touch their shard's state, so item i's effects are
-    // confined to shards_[i] — the WorkerPool determinism contract.
-    const auto drain = [this, epoch_end](std::size_t i) {
-      drain_shard_until(shards_[i], epoch_end);
-    };
-    if (pool != nullptr) {
-      pool->run(shards_.size(), drain);
-    } else {
-      for (std::size_t i = 0; i < shards_.size(); ++i) drain(i);
-    }
-    // Barrier: flush cross-shard mailboxes in (source shard, seq) order.
-    // Messages land no earlier than the next epoch, so the receiving shard
-    // has already passed the timestamp and ordering stays deterministic.
-    for (std::size_t from = 0; from < shards_.size(); ++from) {
-      Shard& src = shards_[from];
-      std::stable_sort(src.outbox.begin(), src.outbox.end(),
-                       [](const Shard::CrossMsg& a, const Shard::CrossMsg& b) {
-                         return a.seq < b.seq;
-                       });
-      for (auto& msg : src.outbox) {
-        Shard& dst = shards_[msg.to];
-        const TimePoint when = std::max(msg.when, epoch_end);
-        dst.queue.push(Event{when, dst.next_seq++, std::move(msg.fn)});
-        ++cross_posts_;
-      }
-      src.outbox.clear();
-    }
-    now_ = epoch_end;
-    ++epochs_run_;
-    if (registry_ != nullptr) {
-      registry_->add(id_epochs_);
-      registry_->add(id_events_, events_processed() - events_before);
-      registry_->add(id_cross_, cross_posts_ - cross_before);
-    }
-  }
+  return queue_.front().when;
 }
 
 }  // namespace accountnet::sim

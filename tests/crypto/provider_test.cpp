@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "accountnet/crypto/provider.hpp"
+#include "accountnet/crypto/sha256.hpp"
+#include "accountnet/crypto/sha512.hpp"
 #include "accountnet/util/rng.hpp"
 
 namespace accountnet::crypto {
@@ -95,6 +97,30 @@ INSTANTIATE_TEST_SUITE_P(Backends, ProviderContract,
                          [](const auto& info) {
                            return info.param == Backend::kReal ? "real" : "fast";
                          });
+
+// The fast backend's stand-ins are fixed keyed hashes of tag || key || input;
+// pinned here against the hashes computed over one concatenated buffer.
+TEST(FastCryptoKnownAnswer, KeyedHashesOfConcatenatedInputs) {
+  const auto provider = make_fast_crypto();
+  const Bytes seed = seed_bytes(9);
+  const auto signer = provider->make_signer(seed);
+  const PublicKeyBytes pk = Sha256::hash(concat(bytes_of("fastpk"), seed));
+  EXPECT_EQ(signer->public_key(), pk);
+
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{23},
+                                std::size_t{24}, std::size_t{64}, std::size_t{300}}) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    const auto sig = Sha256::hash(concat(bytes_of("fastsig"), pk, msg));
+    EXPECT_EQ(signer->sign(msg), Bytes(sig.begin(), sig.end())) << "len " << len;
+    EXPECT_TRUE(provider->verify(pk, msg, signer->sign(msg)));
+
+    const auto beta = Sha512::hash(concat(bytes_of("fastvrf"), pk, msg));
+    EXPECT_EQ(signer->vrf_output(msg), beta) << "len " << len;
+    EXPECT_EQ(signer->vrf_prove(msg), Bytes(beta.begin(), beta.end()));
+    EXPECT_EQ(provider->vrf_verify(pk, msg, signer->vrf_prove(msg)), beta);
+  }
+}
 
 }  // namespace
 }  // namespace accountnet::crypto

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "accountnet/util/ensure.hpp"
 
 namespace accountnet::sim {
@@ -93,6 +95,59 @@ TEST(Simulator, TimeUnitConversions) {
   EXPECT_EQ(seconds(1), milliseconds(1000));
   EXPECT_DOUBLE_EQ(to_seconds(seconds(3)), 3.0);
   EXPECT_DOUBLE_EQ(to_milliseconds(milliseconds(7)), 7.0);
+}
+
+// Counts copies of itself; moves are free. std::function stores a functor
+// with a user-defined copy constructor on the heap, so moving the function
+// never copies it.
+struct CopyCounter {
+  std::shared_ptr<int> copies;
+  std::shared_ptr<int> calls;
+  CopyCounter(std::shared_ptr<int> c, std::shared_ptr<int> n)
+      : copies(std::move(c)), calls(std::move(n)) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), calls(o.calls) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(Simulator, StepMovesEventsOutOfTheQueue) {
+  // A delivered SimNetwork message lives in its event's callback, so a copy
+  // per step would duplicate every message payload.
+  Simulator s;
+  auto copies = std::make_shared<int>(0);
+  auto calls = std::make_shared<int>(0);
+  for (int i = 0; i < 50; ++i) {
+    s.schedule((i * 7) % 13, std::function<void()>(CopyCounter(copies, calls)));
+  }
+  const int after_schedule = *copies;
+  s.run();
+  EXPECT_EQ(*calls, 50);
+  EXPECT_EQ(*copies, after_schedule);
+}
+
+TEST(SimulatorNextEvent, EmptyQueueIsNullopt) {
+  Simulator s;
+  EXPECT_FALSE(s.next_event_time().has_value());
+  EXPECT_FALSE(s.has_next());
+  s.schedule(microseconds(5), [] {});
+  ASSERT_TRUE(s.next_event_time().has_value());
+  EXPECT_EQ(*s.next_event_time(), 5);
+  EXPECT_TRUE(s.has_next());
+  s.run();
+  EXPECT_FALSE(s.next_event_time().has_value());
+  // A zero-delay event is a valid timestamp, not a sentinel: the old -1
+  // convention could never express "next event at t = 0" unambiguously.
+  s.schedule(microseconds(0), [] {});
+  ASSERT_TRUE(s.next_event_time().has_value());
+  EXPECT_EQ(*s.next_event_time(), s.now());
+}
+
+TEST(SimulatorNextEvent, ReportsEarliestAcrossEqualTimestamps) {
+  Simulator s;
+  s.schedule(microseconds(7), [] {});
+  s.schedule(microseconds(3), [] {});
+  s.schedule(microseconds(3), [] {});
+  EXPECT_EQ(*s.next_event_time(), 3);
 }
 
 }  // namespace
