@@ -213,6 +213,78 @@ void BM_VrfVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_VrfVerify);
 
+// Hot-key rows: the same verifications through the real provider, whose key
+// cache holds the key's decoded point and 8-row comb table after its second
+// use (the free-function rows above are the cold-key cost).
+void BM_ProviderVerifyHotKey(benchmark::State& state) {
+  const auto provider = make_real_crypto();
+  const auto kp = ed25519_keypair_from_seed(make_payload(32));
+  const Bytes msg = make_payload(256);
+  const auto sig = ed25519_sign(kp, msg);
+  for (int i = 0; i < 2; ++i) provider->verify(kp.public_key, msg, sig);  // builds the table
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(provider->verify(kp.public_key, msg, sig));
+  }
+}
+BENCHMARK(BM_ProviderVerifyHotKey);
+
+void BM_ProviderVrfVerifyHotKey(benchmark::State& state) {
+  const auto provider = make_real_crypto();
+  const auto kp = ed25519_keypair_from_seed(make_payload(32));
+  AlphaStream alphas;
+  std::vector<std::pair<Bytes, VrfProof>> inputs;
+  for (int i = 0; i < 64; ++i) {
+    const BytesView alpha = alphas.next();
+    inputs.emplace_back(Bytes(alpha.begin(), alpha.end()), vrf_prove(kp, alpha));
+  }
+  const auto& [alpha0, proof0] = inputs[0];
+  for (int i = 0; i < 2; ++i) provider->vrf_verify(kp.public_key, alpha0, proof0);  // builds the table
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [alpha, proof] = inputs[i++ % inputs.size()];
+    benchmark::DoNotOptimize(provider->vrf_verify(kp.public_key, alpha, proof));
+  }
+}
+BENCHMARK(BM_ProviderVrfVerifyHotKey);
+
+// A key seen once through the provider: round-robin over four times as many
+// keys as the cache holds, so each lookup misses (the key was evicted or
+// never admitted since its last use) and pays the cache's first-use path
+// on top of the decode and verification BM_Ed25519Verify times.
+void BM_ProviderVerifyColdKey(benchmark::State& state) {
+  const auto provider = make_real_crypto();
+  const Bytes msg = make_payload(256);
+  struct Input {
+    PublicKeyBytes pk;
+    Bytes sig;
+  };
+  std::vector<Input> inputs;
+  for (std::size_t i = 0; i < 4 * detail::kKeyCacheCapacity; ++i) {
+    Bytes seed = make_payload(32);
+    seed[0] = static_cast<std::uint8_t>(i);
+    seed[1] = static_cast<std::uint8_t>(i >> 8);
+    const auto kp = ed25519_keypair_from_seed(seed);
+    const auto sig = ed25519_sign(kp, msg);
+    inputs.push_back(Input{kp.public_key, Bytes(sig.begin(), sig.end())});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Input& in = inputs[i++ % inputs.size()];
+    benchmark::DoNotOptimize(provider->verify(in.pk, msg, in.sig));
+  }
+}
+BENCHMARK(BM_ProviderVerifyColdKey);
+
+// What a key's second use pays once: its 8-row comb table (64 points, one
+// inversion).
+void BM_KeyTableBuild(benchmark::State& state) {
+  const Ge25519 p = ge_scalar_mul_base(make_scalar());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GeComb<8>(p));
+  }
+}
+BENCHMARK(BM_KeyTableBuild);
+
 void BM_FastBackendVrf(benchmark::State& state) {
   const auto provider = make_fast_crypto();
   const auto signer = provider->make_signer(make_payload(32));

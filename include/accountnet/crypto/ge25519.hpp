@@ -2,8 +2,8 @@
 // d = -121665/121666), extended coordinates (X : Y : Z : T), T = XY/Z.
 //
 // Provides compression/decompression per RFC 8032 §5.1.3, variable-base,
-// fixed-base (table-driven) and two-point joint scalar multiplication; enough
-// for Ed25519 and ECVRF. Every operation is variable-time.
+// table-driven (comb) and two-point joint scalar multiplication; enough for
+// Ed25519 and ECVRF. Every operation is variable-time.
 #pragma once
 
 #include <array>
@@ -15,6 +15,9 @@
 #include "accountnet/util/bytes.hpp"
 
 namespace accountnet::crypto {
+
+template <std::size_t Rows>
+class GeComb;
 
 class Ge25519 {
  public:
@@ -59,12 +62,20 @@ class Ge25519 {
  private:
   Ge25519(Fe25519 x, Fe25519 y, Fe25519 z, Fe25519 t) : x_(x), y_(y), z_(z), t_(t) {}
 
-  /// An affine point in the (y + x, y - x, 2d*x*y) form the fixed-base
-  /// table stores (defined in ge25519.cpp).
-  struct Precomp;
+  /// zinv[i] = 1 / points[i].Z for every i, with one field inversion for the
+  /// whole batch (Montgomery's trick).
+  static void invert_z_batch(std::span<const Ge25519> points, std::span<Fe25519> zinv);
+
+  /// An affine point in the (y + x, y - x, 2d*x*y) form comb tables store.
+  struct Precomp {
+    Fe25519 ypx;   // y + x
+    Fe25519 ymx;   // y - x
+    Fe25519 xy2d;  // 2d * x * y
+  };
   /// this + p, or this - p when `negate`; mixed addition (Z of p is 1).
   Ge25519 madd(const Precomp& p, bool negate) const;
-  friend Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le);
+  template <std::size_t Rows>
+  friend class GeComb;
 
   /// A point in the (Y + X, Y - X, 2Z, 2d*T) form that additions read
   /// (defined in ge25519.cpp).
@@ -88,10 +99,42 @@ class Ge25519 {
   Fe25519 t_;
 };
 
-/// scalar * B for the standard base point. Reads a table of j * 16^i * B
-/// (i < 64, 1 <= j <= 8; 512 affine points, ~60 KB) built on first use, so a
-/// multiplication is one mixed addition per nonzero signed radix-16 digit and
-/// no doublings. Scalars >= 2^255 are reduced mod L first.
+/// A comb table for products with one fixed point P: row r holds j *
+/// 16^(k*r) * P for j = 1..8, with k = 64 / Rows signed radix-16 digits per
+/// row. A product is a Horner loop over the k digit positions: four
+/// doublings between positions and one addition per nonzero digit, so
+/// (k - 1) * 4 doublings in all. 64 rows (the base point's table) need no
+/// doubling; 8 rows (a verification key's) need 28; 4 rows (a draw's H)
+/// need 60.
+///
+/// The table is brought to Z = 1 with one field inversion for the whole
+/// table and stores (y + x, y - x, 2d*x*y), 120 bytes a point, read by mixed
+/// additions: ~60 KB for B's 64 rows, ~7.7 KB for a key's 8, ~3.8 KB for
+/// H's 4.
+template <std::size_t Rows>
+class GeComb {
+  static_assert(Rows > 0 && 64 % Rows == 0, "rows must divide the 64 digit positions");
+
+ public:
+  explicit GeComb(const Ge25519& p);
+
+  /// scalar * P for a 32-byte little-endian scalar below 2^255 (enforced:
+  /// the table has no row for the final carry digit, and reducing the
+  /// scalar mod L would be wrong for a P with a torsion component).
+  Ge25519 mul(const std::array<std::uint8_t, 32>& scalar_le) const;
+
+ private:
+  static constexpr std::size_t kDigitsPerRow = 64 / Rows;
+  std::array<std::array<Ge25519::Precomp, 8>, Rows> rows_;
+};
+
+extern template class GeComb<4>;
+extern template class GeComb<8>;
+extern template class GeComb<64>;
+
+/// scalar * B for the standard base point through a 64-row comb of B built on
+/// first use: one mixed addition per nonzero signed radix-16 digit and no
+/// doublings. Scalars >= 2^255 are reduced mod L first (B has order L).
 Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le);
 
 /// a * P + b * Q with one shared doubling chain (Straus, signed 4-bit

@@ -96,10 +96,28 @@ class CryptoProvider {
   virtual const char* name() const = 0;
 };
 
-/// Ed25519 + ECVRF backend.
+/// Ed25519 + ECVRF backend. It keeps a bounded cache of decoded public keys
+/// (at most detail::kKeyCacheCapacity), shared by every thread that
+/// verifies through it; a key seen a second time gets a comb table there,
+/// which makes its later verifications cheaper. Verdicts never depend on it.
 std::unique_ptr<CryptoProvider> make_real_crypto();
 
 /// Keyed-hash simulation backend (no security; see file comment).
 std::unique_ptr<CryptoProvider> make_fast_crypto();
+
+namespace detail {
+
+/// The real backend's key cache bound.
+inline constexpr std::size_t kKeyCacheCapacity = 256;
+
+/// What a real backend's key cache holds: keys cached now, and comb tables
+/// built since the provider was made. All zero for any other provider.
+struct KeyCacheStats {
+  std::size_t keys = 0;
+  std::size_t tables_built = 0;
+};
+KeyCacheStats key_cache_stats(const CryptoProvider& provider);
+
+}  // namespace detail
 
 }  // namespace accountnet::crypto

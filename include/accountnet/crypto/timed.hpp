@@ -9,6 +9,10 @@
 //   crypto.verify      CryptoProvider::verify
 //   crypto.vrf_verify  CryptoProvider::vrf_verify
 //
+// plus crypto.verify_batch for CryptoProvider::verify_batch, whose calls and
+// jobs are counted, the jobs also by kind (crypto.verify_batch.sig_jobs and
+// crypto.verify_batch.vrf_jobs).
+//
 // The timers are inert until `registry.set_timing_enabled(true)` — wall-clock
 // reads are opt-in per the library-wide simulated-time rule — but observation
 // *counts* still tick while timing is off, so call-mix accounting is free.

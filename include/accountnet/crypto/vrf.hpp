@@ -27,9 +27,10 @@ using VrfProof = std::array<std::uint8_t, kVrfProofSize>;
 using VrfOutput = std::array<std::uint8_t, kVrfOutputSize>;
 
 // vrf_prove and vrf_output share their first half, H = encode_to_curve(pk,
-// alpha) and Gamma = x*H: each thread remembers its last (pk, alpha), so a
-// proof and an output of the same input cost one evaluation of it, in either
-// order. Only public values are remembered.
+// alpha) and Gamma = x*H: each thread remembers its last (pk, alpha) and a
+// comb table of its H, so a proof and an output of the same input cost one
+// evaluation of it, in either order, and Gamma = x*H and V = k*H share one
+// precomputation. Only public values are remembered.
 
 /// Computes the proof pi for input alpha under the Ed25519 keypair.
 VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha);
@@ -43,8 +44,14 @@ VrfOutput vrf_proof_to_hash(const VrfProof& proof);
 
 /// Verifies pi against (pk, alpha); returns beta on success. A public key
 /// of small order (8*Y = identity) is rejected, per RFC 9381 §5.4.5
-/// ECVRF_validate_key.
+/// ECVRF_validate_key. Decodes the key and takes the plain variable-base
+/// path.
 std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
+                                    BytesView proof80);
+
+/// The same verification against an already decoded key; the result is the
+/// same with or without its table.
+std::optional<VrfOutput> vrf_verify(const VerifyKey& key, BytesView alpha,
                                     BytesView proof80);
 
 }  // namespace accountnet::crypto

@@ -66,11 +66,33 @@ std::array<std::uint8_t, 64> ed25519_sign(const Ed25519KeyPair& kp, BytesView ms
   return sig;
 }
 
+std::optional<VerifyKey> VerifyKey::decode(BytesView public_key32) {
+  const auto a = Ge25519::from_bytes(public_key32);
+  if (!a) return std::nullopt;
+  std::array<std::uint8_t, 32> bytes;
+  std::memcpy(bytes.data(), public_key32.data(), 32);
+  return VerifyKey(bytes, *a);
+}
+
+VerifyKey VerifyKey::with_table() const {
+  VerifyKey out = *this;
+  out.table_ = std::make_shared<const GeComb<8>>(point_);
+  return out;
+}
+
+Ge25519 VerifyKey::mul(const std::array<std::uint8_t, 32>& scalar_le) const {
+  return table_ ? table_->mul(scalar_le) : point_.scalar_mul(scalar_le);
+}
+
 bool ed25519_verify(BytesView public_key32, BytesView msg, BytesView signature64) {
   if (public_key32.size() != 32 || signature64.size() != 64) return false;
+  const auto key = VerifyKey::decode(public_key32);
+  return key && ed25519_verify(*key, msg, signature64);
+}
 
-  const auto a = Ge25519::from_bytes(public_key32);
-  if (!a) return false;
+bool ed25519_verify(const VerifyKey& key, BytesView msg, BytesView signature64) {
+  if (signature64.size() != 64) return false;
+
   const auto r = Ge25519::from_bytes(signature64.first(32));
   if (!r) return false;
   Scalar s;
@@ -78,13 +100,13 @@ bool ed25519_verify(BytesView public_key32, BytesView msg, BytesView signature64
 
   Sha512 h_k;
   h_k.update(signature64.first(32));
-  h_k.update(public_key32);
+  h_k.update(key.bytes());
   h_k.update(msg);
   const Scalar k = Scalar::reduce(h_k.finish());
 
   // Check S*B == R + k*A (equivalent to the cofactorless RFC equation).
   const Ge25519 lhs = ge_scalar_mul_base(s.bytes());
-  const Ge25519 rhs = r->add(a->scalar_mul(k.bytes()));
+  const Ge25519 rhs = r->add(key.mul(k.bytes()));
   return lhs == rhs;
 }
 

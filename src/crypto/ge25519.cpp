@@ -77,22 +77,29 @@ std::array<std::uint8_t, 32> Ge25519::to_bytes() const {
   return encode_affine(x_ * zinv, y_ * zinv);
 }
 
+void Ge25519::invert_z_batch(std::span<const Ge25519> points, std::span<Fe25519> zinv) {
+  if (points.empty()) return;
+  // zinv[i] first holds the prefix product Z_0 * ... * Z_i. Walking back from
+  // 1 / prefix[n-1]: 1/Z_i = (1/prefix[i]) * prefix[i-1] and
+  // 1/prefix[i-1] = (1/prefix[i]) * Z_i.
+  zinv[0] = points[0].z_;
+  for (std::size_t i = 1; i < points.size(); ++i) zinv[i] = zinv[i - 1] * points[i].z_;
+  Fe25519 inv = zinv[points.size() - 1].invert();
+  for (std::size_t i = points.size() - 1; i > 0; --i) {
+    zinv[i] = inv * zinv[i - 1];
+    inv = inv * points[i].z_;
+  }
+  zinv[0] = inv;
+}
+
 void Ge25519::to_bytes_batch(std::span<const Ge25519> points,
                              std::span<std::array<std::uint8_t, 32>> out) {
   AN_ENSURE_MSG(points.size() == out.size(), "Ge25519::to_bytes_batch size mismatch");
-  if (points.empty()) return;
-  // prefix[i] = Z_0 * ... * Z_i. Walking back from 1 / prefix[n-1]:
-  // 1/Z_i = (1/prefix[i]) * prefix[i-1] and 1/prefix[i-1] = (1/prefix[i]) * Z_i.
-  std::vector<Fe25519> prefix(points.size());
-  prefix[0] = points[0].z_;
-  for (std::size_t i = 1; i < points.size(); ++i) prefix[i] = prefix[i - 1] * points[i].z_;
-  Fe25519 inv = prefix.back().invert();
-  for (std::size_t i = points.size() - 1; i > 0; --i) {
-    const Fe25519 zinv = inv * prefix[i - 1];
-    inv = inv * points[i].z_;
-    out[i] = encode_affine(points[i].x_ * zinv, points[i].y_ * zinv);
+  std::vector<Fe25519> zinv(points.size());
+  invert_z_batch(points, zinv);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out[i] = encode_affine(points[i].x_ * zinv[i], points[i].y_ * zinv[i]);
   }
-  out[0] = encode_affine(points[0].x_ * inv, points[0].y_ * inv);
 }
 
 struct Ge25519::Cached {
@@ -239,12 +246,6 @@ bool Ge25519::operator==(const Ge25519& rhs) const {
   return (x_ * rhs.z_ == rhs.x_ * z_) && (y_ * rhs.z_ == rhs.y_ * z_);
 }
 
-struct Ge25519::Precomp {
-  Fe25519 ypx;   // y + x
-  Fe25519 ymx;   // y - x
-  Fe25519 xy2d;  // 2d * x * y
-};
-
 Ge25519 Ge25519::madd(const Precomp& p, bool negate) const {
   // add_cached() with Z2 = 1 and T2 = x2 * y2 folded into the table entry. -p
   // swaps y + x with y - x and negates 2d * x * y, i.e. swaps f and g.
@@ -259,43 +260,66 @@ Ge25519 Ge25519::madd(const Precomp& p, bool negate) const {
   return Ge25519(e * f, g * h, f * g, e * h);
 }
 
-Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le) {
-  using Precomp = Ge25519::Precomp;
-  using BaseTable = std::array<std::array<Precomp, 8>, 64>;
-  // table[i][j] = (j + 1) * 16^i * B in affine form: 448 additions, 64
-  // doublings and 512 inversions, once per process (thread-safe static).
-  static const std::unique_ptr<const BaseTable> table = [] {
-    auto t = std::make_unique<BaseTable>();
-    Ge25519 row_base = Ge25519::base_point();
-    for (auto& row : *t) {
-      Ge25519 multiple = row_base;
-      for (std::size_t j = 0; j < row.size(); ++j) {
-        if (j > 0) multiple = multiple.add(row_base);
-        const Fe25519 zinv = multiple.z_.invert();
-        const Fe25519 x = multiple.x_ * zinv;
-        const Fe25519 y = multiple.y_ * zinv;
-        row[j] = Precomp{y + x, y - x, x * y * fe_edwards_2d()};
-      }
-      row_base = multiple.dbl();  // 16 * 16^i * B
-    }
-    return t;
-  }();
+template <std::size_t Rows>
+GeComb<Rows>::GeComb(const Ge25519& p) {
+  // points[8r + j] = (j + 1) * 16^(k*r) * P: per row one doubling and six
+  // additions off the row's base, then 8 * base doubled 4k - 3 times is the
+  // next row's base.
+  std::vector<Ge25519> points(Rows * 8);
+  Ge25519 row_base = p;
+  for (std::size_t r = 0; r < Rows; ++r) {
+    Ge25519* row = &points[r * 8];
+    const Ge25519::Cached base = row_base.to_cached();
+    row[0] = row_base;
+    row[1] = row_base.dbl();
+    for (std::size_t j = 2; j < 8; ++j) row[j] = row[j - 1].add_cached(base, false, true);
+    if (r + 1 < Rows) row_base = row[7].dbl_times(static_cast<int>(4 * kDigitsPerRow - 3));
+  }
+  std::vector<Fe25519> zinv(points.size());
+  Ge25519::invert_z_batch(points, zinv);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Fe25519 x = points[i].x_ * zinv[i];
+    const Fe25519 y = points[i].y_ * zinv[i];
+    rows_[i / 8][i % 8] = Ge25519::Precomp{y + x, y - x, x * y * fe_edwards_2d()};
+  }
+}
 
-  // The table has 64 rows, so the final carry is folded into the top digit:
-  // e[63] + 16 * e[64] lies in [0, 8] for scalars below 2^255. Larger inputs
-  // are reduced first; k * B depends only on k mod L.
-  Scalar32 k = scalar_le;
-  if (k[31] & 0x80) k = Scalar::reduce(k).bytes();
-  auto e = signed_radix16(k);
+template <std::size_t Rows>
+Ge25519 GeComb<Rows>::mul(const std::array<std::uint8_t, 32>& scalar_le) const {
+  AN_ENSURE_MSG((scalar_le[31] & 0x80) == 0, "GeComb::mul: scalar must be below 2^255");
+  // With no row for the final carry, it is folded into the top digit:
+  // e[63] + 16 * e[64] lies in [0, 8] for scalars below 2^255.
+  auto e = signed_radix16(scalar_le);
   e[63] = static_cast<std::int8_t>(e[63] + 16 * e[64]);
 
-  Ge25519 acc = Ge25519::identity();
-  for (std::size_t i = 0; i < 64; ++i) {
-    if (e[i] == 0) continue;
-    const bool negative = e[i] < 0;
-    acc = acc.madd((*table)[i][static_cast<std::size_t>(negative ? -e[i] : e[i]) - 1], negative);
+  // Digit i = k*r + t sits in row r at Horner position t. Leading positions
+  // with no nonzero digit cost nothing.
+  Ge25519 acc;
+  bool started = false;
+  for (std::size_t t = kDigitsPerRow; t-- > 0;) {
+    if (started) acc = acc.dbl_times(4);
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const int d = e[r * kDigitsPerRow + t];
+      if (d == 0) continue;
+      acc = acc.madd(rows_[r][static_cast<std::size_t>(d < 0 ? -d : d) - 1], d < 0);
+      started = true;
+    }
   }
   return acc;
+}
+
+template class GeComb<4>;
+template class GeComb<8>;
+template class GeComb<64>;
+
+Ge25519 ge_scalar_mul_base(const std::array<std::uint8_t, 32>& scalar_le) {
+  // Built once per process (thread-safe static).
+  static const std::unique_ptr<const GeComb<64>> table =
+      std::make_unique<const GeComb<64>>(Ge25519::base_point());
+  // k * B depends only on k mod L, so a scalar the comb cannot take is
+  // reduced first.
+  if (scalar_le[31] & 0x80) return table->mul(Scalar::reduce(scalar_le).bytes());
+  return table->mul(scalar_le);
 }
 
 Ge25519 ge_double_scalar_mul(const Ge25519& p, const std::array<std::uint8_t, 32>& a,

@@ -1,8 +1,11 @@
 #include "accountnet/crypto/provider.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <mutex>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "accountnet/crypto/ed25519.hpp"
@@ -67,6 +70,90 @@ class RealSigner final : public Signer {
   Ed25519KeyPair kp_;
 };
 
+// Decoded verification keys, at most detail::kKeyCacheCapacity of them,
+// shared by every thread verifying through one provider. A key is admitted
+// on its first use (it had to be decoded anyway) and gets its comb table on
+// its second, so a key seen once costs what an uncached verification does
+// (BM_ProviderVerifyColdKey against BM_Ed25519Verify in micro_crypto).
+// When the cache is full a miss advances a CLOCK hand by one slot: a key
+// used since the hand last passed keeps its slot (and loses its mark) and
+// the new key is verified without being cached; an unused one is replaced.
+// A stream of new keys therefore never evicts keys that stay in use, and a
+// key that does not decode is never cached.
+class KeyCache {
+ public:
+  /// The key for `pk`, or nullptr if it does not decode.
+  std::shared_ptr<const VerifyKey> get(const PublicKeyBytes& pk) {
+    {
+      std::unique_lock lock(mu_);
+      const auto it = index_.find(pk);
+      if (it != index_.end()) {
+        Slot& slot = slots_[it->second];
+        slot.used = true;
+        if (slot.table_claimed) return slot.key;
+        slot.table_claimed = true;  // this thread builds it, outside the lock
+        auto plain = slot.key;
+        ++tables_built_;
+        lock.unlock();
+        auto tabled = std::make_shared<const VerifyKey>(plain->with_table());
+        lock.lock();
+        const auto again = index_.find(pk);  // the slot may have been reused meanwhile
+        if (again != index_.end()) {
+          slots_[again->second].key = tabled;
+          slots_[again->second].table_claimed = true;
+        }
+        return tabled;
+      }
+    }
+    auto decoded = VerifyKey::decode(pk);
+    if (!decoded) return nullptr;
+    auto key = std::make_shared<const VerifyKey>(std::move(*decoded));
+    std::lock_guard lock(mu_);
+    const auto it = index_.find(pk);  // another thread may have admitted it
+    if (it != index_.end()) return slots_[it->second].key;
+    if (slots_.size() < detail::kKeyCacheCapacity) {
+      index_.emplace(pk, slots_.size());
+      slots_.push_back(Slot{key, true, false});
+      return key;
+    }
+    const std::size_t victim = hand_;
+    hand_ = (hand_ + 1) % slots_.size();
+    if (slots_[victim].used) {
+      slots_[victim].used = false;
+      return key;
+    }
+    index_.erase(slots_[victim].key->bytes());
+    index_.emplace(pk, victim);
+    slots_[victim] = Slot{key, true, false};
+    return key;
+  }
+
+  detail::KeyCacheStats stats() const {
+    std::lock_guard lock(mu_);
+    return {slots_.size(), tables_built_};
+  }
+
+ private:
+  struct KeyHash {
+    std::size_t operator()(const PublicKeyBytes& pk) const {
+      std::uint64_t h;
+      std::memcpy(&h, pk.data(), sizeof h);
+      return static_cast<std::size_t>(h);
+    }
+  };
+  struct Slot {
+    std::shared_ptr<const VerifyKey> key;
+    bool used;           // looked up since the CLOCK hand last passed
+    bool table_claimed;  // a thread has started building the table
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<PublicKeyBytes, std::size_t, KeyHash> index_;  // key -> slot
+  std::vector<Slot> slots_;
+  std::size_t hand_ = 0;
+  std::size_t tables_built_ = 0;
+};
+
 class RealCryptoProvider final : public CryptoProvider {
  public:
   std::unique_ptr<Signer> make_signer(BytesView seed32) const override {
@@ -74,14 +161,19 @@ class RealCryptoProvider final : public CryptoProvider {
   }
 
   bool verify(const PublicKeyBytes& pk, BytesView msg, BytesView sig) const override {
-    return ed25519_verify(pk, msg, sig);
+    const auto key = keys_.get(pk);
+    return key != nullptr && ed25519_verify(*key, msg, sig);
   }
 
   std::optional<std::array<std::uint8_t, 64>> vrf_verify(const PublicKeyBytes& pk,
                                                          BytesView alpha,
                                                          BytesView proof) const override {
-    return crypto::vrf_verify(pk, alpha, proof);
+    const auto key = keys_.get(pk);
+    if (key == nullptr) return std::nullopt;
+    return crypto::vrf_verify(*key, alpha, proof);
   }
+
+  detail::KeyCacheStats key_cache_stats() const { return keys_.stats(); }
 
   // Fans jobs across a worker pool in fixed contiguous chunks; each worker
   // writes only its own disjoint verdict slots, so the result is independent
@@ -117,6 +209,9 @@ class RealCryptoProvider final : public CryptoProvider {
   }
 
   const char* name() const override { return "real(ed25519+ecvrf)"; }
+
+ private:
+  mutable KeyCache keys_;
 };
 
 // ---------------------------------------------------------------------------
@@ -209,6 +304,11 @@ std::unique_ptr<CryptoProvider> make_real_crypto() {
 
 std::unique_ptr<CryptoProvider> make_fast_crypto() {
   return std::make_unique<FastCryptoProvider>();
+}
+
+detail::KeyCacheStats detail::key_cache_stats(const CryptoProvider& provider) {
+  const auto* real = dynamic_cast<const RealCryptoProvider*>(&provider);
+  return real != nullptr ? real->key_cache_stats() : KeyCacheStats{};
 }
 
 }  // namespace accountnet::crypto

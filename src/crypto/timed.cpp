@@ -1,5 +1,6 @@
 #include "accountnet/crypto/timed.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "accountnet/util/ensure.hpp"
@@ -25,7 +26,9 @@ struct CryptoMetricIds {
         vrf_verify_calls(r.counter("crypto.vrf_verify.calls")),
         verify_batch(r.timer("crypto.verify_batch")),
         verify_batch_calls(r.counter("crypto.verify_batch.calls")),
-        verify_batch_jobs(r.counter("crypto.verify_batch.jobs")) {}
+        verify_batch_jobs(r.counter("crypto.verify_batch.jobs")),
+        verify_batch_sig_jobs(r.counter("crypto.verify_batch.sig_jobs")),
+        verify_batch_vrf_jobs(r.counter("crypto.verify_batch.vrf_jobs")) {}
 
   obs::MetricId keygen, keygen_calls;
   obs::MetricId sign, sign_calls;
@@ -34,6 +37,7 @@ struct CryptoMetricIds {
   obs::MetricId verify, verify_calls;
   obs::MetricId vrf_verify, vrf_verify_calls;
   obs::MetricId verify_batch, verify_batch_calls, verify_batch_jobs;
+  obs::MetricId verify_batch_sig_jobs, verify_batch_vrf_jobs;
 };
 
 class TimedSigner final : public Signer {
@@ -103,6 +107,12 @@ class TimedProvider final : public CryptoProvider {
                     std::span<VerifyVerdict> verdicts) const override {
     registry_.add(ids_.verify_batch_calls);
     registry_.add(ids_.verify_batch_jobs, jobs.size());
+    const auto sig_jobs = static_cast<std::uint64_t>(
+        std::count_if(jobs.begin(), jobs.end(), [](const VerifyJob& j) {
+          return j.kind == VerifyJob::Kind::kSignature;
+        }));
+    registry_.add(ids_.verify_batch_sig_jobs, sig_jobs);
+    registry_.add(ids_.verify_batch_vrf_jobs, jobs.size() - sig_jobs);
     obs::ScopedTimer t(&registry_, ids_.verify_batch);
     inner_->verify_batch(jobs, verdicts);
   }

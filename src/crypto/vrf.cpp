@@ -108,15 +108,16 @@ Ge25519 encode_to_curve(BytesView pk, BytesView alpha) {
 }
 
 /// The part of a draw that vrf_output and vrf_prove share: H =
-/// encode_to_curve(pk, alpha), the encodings of H and Gamma = x*H, and beta.
-/// The sampler asks for the output and then the proof of the same alpha, so
-/// each thread remembers its last draw. Everything here is public: Gamma and
-/// beta follow from the proof, H from (pk, alpha). Keying on pk is sound
-/// because pk = x*B fixes x mod L, which fixes Gamma = x*H (H has order L).
+/// encode_to_curve(pk, alpha) with its comb table, the encodings of H and
+/// Gamma = x*H, and beta. The sampler asks for the output and then the proof
+/// of the same alpha, so each thread remembers its last draw, and Gamma = x*H
+/// and V = k*H read one table. Everything here is public: Gamma and beta
+/// follow from the proof, H from (pk, alpha). Keying on pk is sound because
+/// pk = x*B fixes x mod L, which fixes Gamma = x*H (H has order L).
 struct Draw {
   Encoding pk{};
   Bytes alpha;
-  Ge25519 h;
+  std::optional<GeComb<4>> h_table;
   Encoding h_enc{};
   Encoding gamma_enc{};
   VrfOutput beta{};
@@ -126,25 +127,30 @@ thread_local std::optional<Draw> t_last_draw;
 
 /// The thread's last draw if it is (kp, alpha); otherwise computes the draw,
 /// with one inversion for H, Gamma and 8*Gamma, and remembers it instead.
+/// Everything that can throw runs before the memo is touched, so a throw
+/// leaves the previous draw whole: a half-updated memo would pair one H's
+/// table with another H's nonce, and two proofs with one nonce give away x.
 const Draw& draw_for(const Ed25519KeyPair& kp, BytesView alpha) {
   auto& d = t_last_draw;
   if (d && d->pk == kp.public_key &&
       std::equal(d->alpha.begin(), d->alpha.end(), alpha.begin(), alpha.end())) {
     return *d;
   }
+  Draw next;
   const Ge25519 h = encode_to_curve(kp.public_key, alpha);
-  const Ge25519 gamma = h.scalar_mul(expand(kp).x.bytes());
+  const Ge25519 gamma = next.h_table.emplace(h).mul(expand(kp).x.bytes());
   const std::array<Ge25519, 3> points{h, gamma, gamma.mul_by_cofactor()};
   std::array<Encoding, 3> enc{};  // H, Gamma, 8*Gamma
   Ge25519::to_bytes_batch(points, enc);
 
-  if (!d) d.emplace();
-  d->pk = kp.public_key;
-  d->alpha.assign(alpha.begin(), alpha.end());
-  d->h = h;
-  d->h_enc = enc[0];
-  d->gamma_enc = enc[1];
-  d->beta = cofactor_gamma_to_hash(enc[2]);
+  next.pk = kp.public_key;
+  next.alpha.assign(alpha.begin(), alpha.end());
+  next.h_enc = enc[0];
+  next.gamma_enc = enc[1];
+  next.beta = cofactor_gamma_to_hash(enc[2]);
+  // Moving a Draw copies its ~4 KB table and moves its alpha buffer; neither
+  // throws.
+  d = std::move(next);
   return *d;
 }
 
@@ -157,7 +163,8 @@ VrfProof vrf_prove(const Ed25519KeyPair& kp, BytesView alpha) {
   // The nonce hashes H's encoding, so U and V cannot share H's inversion;
   // they share one of their own.
   const Scalar k = make_nonce(sk, draw.h_enc);
-  const std::array<Ge25519, 2> points{ge_scalar_mul_base(k.bytes()), draw.h.scalar_mul(k.bytes())};
+  const std::array<Ge25519, 2> points{ge_scalar_mul_base(k.bytes()),
+                                      draw.h_table->mul(k.bytes())};
   std::array<Encoding, 2> enc{};  // U, V
   Ge25519::to_bytes_batch(points, enc);
 
@@ -184,11 +191,17 @@ VrfOutput vrf_proof_to_hash(const VrfProof& proof) {
 std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
                                     BytesView proof80) {
   if (public_key32.size() != 32 || proof80.size() != kVrfProofSize) return std::nullopt;
+  const auto key = VerifyKey::decode(public_key32);
+  if (!key) return std::nullopt;
+  return vrf_verify(*key, alpha, proof80);
+}
 
-  // RFC 9381 §5.4.5 ECVRF_validate_key: Y must decode and must not have
-  // small order (8*Y = identity), or proofs could be forged for it.
-  const auto y = Ge25519::from_bytes(public_key32);
-  if (!y || y->mul_by_cofactor().is_identity()) return std::nullopt;
+std::optional<VrfOutput> vrf_verify(const VerifyKey& key, BytesView alpha,
+                                    BytesView proof80) {
+  // RFC 9381 §5.4.5 ECVRF_validate_key: Y must decode (it did, into `key`)
+  // and must not have small order (8*Y = identity), or proofs could be
+  // forged for it.
+  if (proof80.size() != kVrfProofSize || key.small_order()) return std::nullopt;
   const auto gamma = Ge25519::from_bytes(proof80.first(32));
   if (!gamma) return std::nullopt;
 
@@ -197,13 +210,13 @@ std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
   Scalar s;
   if (!Scalar::from_canonical(proof80.subspan(48), s)) return std::nullopt;
 
-  const auto h_point = hash_to_curve_tai(public_key32, alpha);
+  const auto h_point = hash_to_curve_tai(key.bytes(), alpha);
   if (!h_point) return std::nullopt;
 
   const Scalar c_scalar = challenge_scalar(c);
 
   // U = s*B - c*Y ;  V = s*H - c*Gamma, the latter as one joint product.
-  const Ge25519 u = ge_scalar_mul_base(s.bytes()).sub(y->scalar_mul(c_scalar.bytes()));
+  const Ge25519 u = ge_scalar_mul_base(s.bytes()).sub(key.mul(c_scalar.bytes()));
   const Ge25519 v = ge_double_scalar_mul(*h_point, s.bytes(), gamma->negate(), c_scalar.bytes());
 
   // Gamma's encoding is the proof's own first 32 bytes: from_bytes accepts
@@ -214,7 +227,7 @@ std::optional<VrfOutput> vrf_verify(BytesView public_key32, BytesView alpha,
   Encoding gamma_enc{};
   std::memcpy(gamma_enc.data(), proof80.data(), 32);
 
-  const auto expected = make_challenge(public_key32, enc[0], gamma_enc, enc[1], enc[2]);
+  const auto expected = make_challenge(key.bytes(), enc[0], gamma_enc, enc[1], enc[2]);
   if (!ct_equal(BytesView(expected.data(), expected.size()), BytesView(c.data(), c.size()))) {
     return std::nullopt;
   }

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "accountnet/crypto/ge25519.hpp"
+#include "accountnet/crypto/sc25519.hpp"
+#include "accountnet/util/ensure.hpp"
 #include "accountnet/util/rng.hpp"
 
 namespace accountnet::crypto {
@@ -330,6 +332,60 @@ TEST(Ge25519, DoubleScalarMulMatchesSeparateProducts) {
   EXPECT_EQ(ge_double_scalar_mul(h, s, gamma.negate(), c).to_bytes(),
             h.scalar_mul(s).sub(gamma.scalar_mul(c)).to_bytes());
   EXPECT_TRUE(ge_double_scalar_mul(h, scalar_of(0), gamma, scalar_of(0)).is_identity());
+}
+
+// A comb of P gives P.scalar_mul(k) for every scalar below 2^255: on
+// random points, on points with an order-8 component and on every
+// decodable small-order point (where the table's rows repeat), for 0, 1,
+// L - 1, 2^128 - 1, 2^252 and random scalars below L. Checked for the
+// three combs in use: H's 4 rows, a key's 8 and B's 64.
+template <std::size_t Rows>
+void expect_comb_matches_scalar_mul(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::array<std::uint8_t, 32>> scalars = {
+      scalar_of(0), scalar_of(1),
+      scalar_from_hex("ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010"),
+      scalar_from_hex("ffffffffffffffffffffffffffffffff00000000000000000000000000000000"),
+      scalar_from_hex("0000000000000000000000000000000000000000000000000000000000000010")};
+  for (int i = 0; i < 8; ++i) {
+    Bytes wide(64);
+    for (auto& b : wide) b = static_cast<std::uint8_t>(rng.next_u64());
+    scalars.push_back(Scalar::reduce(wide).bytes());
+  }
+  std::vector<Ge25519> points;
+  for (int i = 0; i < 3; ++i) points.push_back(ge_scalar_mul_base(random_scalar(rng)));
+  points.push_back(points[0].add(decode_hex(kOrder8)));
+  for (const char* small_order : {
+           "0100000000000000000000000000000000000000000000000000000000000000",  // identity
+           "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // order 2
+           "0000000000000000000000000000000000000000000000000000000000000000",  // order 4
+           "0000000000000000000000000000000000000000000000000000000000000080",  // order 4
+           kOrder8,
+       }) {
+    points.push_back(decode_hex(small_order));
+  }
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const GeComb<Rows> comb(points[p]);
+    for (const auto& k : scalars) {
+      EXPECT_EQ(comb.mul(k).to_bytes(), points[p].scalar_mul(k).to_bytes())
+          << Rows << " rows, point " << p << ", k = " << to_hex(k);
+    }
+  }
+}
+
+TEST(Ge25519, CombMatchesScalarMulWith4Rows) { expect_comb_matches_scalar_mul<4>(207); }
+TEST(Ge25519, CombMatchesScalarMulWith8Rows) { expect_comb_matches_scalar_mul<8>(208); }
+TEST(Ge25519, CombMatchesScalarMulWith64Rows) { expect_comb_matches_scalar_mul<64>(209); }
+
+// The comb has no row for a final carry digit, and reducing mod L is wrong
+// for a point with a torsion component, so it refuses scalars >= 2^255.
+TEST(Ge25519, CombRejectsScalarsFrom2To255) {
+  const GeComb<8> comb(Ge25519::base_point());
+  std::array<std::uint8_t, 32> k{};
+  k[31] = 0x80;
+  EXPECT_THROW((void)comb.mul(k), EnsureError);
+  k[31] = 0x7f;
+  EXPECT_NO_THROW((void)comb.mul(k));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // unconditionally, and feeds the six crypto timers only when enabled.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "accountnet/crypto/timed.hpp"
 #include "accountnet/util/ensure.hpp"
 
@@ -64,6 +66,32 @@ TEST(TimedCrypto, TimersRecordWhenEnabled) {
   for (int i = 0; i < 3; ++i) (void)signer->sign(msg);
   EXPECT_EQ(metrics.timer_count(metrics.timer("crypto.sign")), 3u);
   EXPECT_EQ(metrics.timer_count(metrics.timer("crypto.keygen")), 1u);
+}
+
+TEST(TimedCrypto, VerifyBatchCountsJobsByKind) {
+  obs::MetricsRegistry metrics;
+  const auto timed = make_timed_crypto(make_fast_crypto(), metrics);
+  const auto signer = timed->make_signer(seed32(3));
+  const Bytes msg = bytes_of("m");
+  const Bytes sig = signer->sign(msg);
+  const Bytes proof = signer->vrf_prove(msg);
+  const auto& pk = signer->public_key();
+  std::vector<VerifyJob> jobs;
+  for (int i = 0; i < 3; ++i) jobs.push_back({VerifyJob::Kind::kSignature, pk, msg, sig});
+  for (int i = 0; i < 2; ++i) jobs.push_back({VerifyJob::Kind::kVrf, pk, msg, proof});
+  std::vector<VerifyVerdict> verdicts(jobs.size());
+  timed->verify_batch(jobs, verdicts);
+  timed->verify_batch(std::span(jobs).first(1), std::span(verdicts).first(1));
+  for (const auto& v : verdicts) EXPECT_TRUE(v.ok);
+
+  const auto count_of = [&](const char* name) {
+    const auto id = metrics.find(name);
+    return id ? metrics.counter_value(*id) : std::uint64_t{0};
+  };
+  EXPECT_EQ(count_of("crypto.verify_batch.calls"), 2u);
+  EXPECT_EQ(count_of("crypto.verify_batch.jobs"), 6u);
+  EXPECT_EQ(count_of("crypto.verify_batch.sig_jobs"), 4u);
+  EXPECT_EQ(count_of("crypto.verify_batch.vrf_jobs"), 2u);
 }
 
 TEST(TimedCrypto, NullInnerRejected) {

@@ -4,6 +4,7 @@
 // memo) computes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 #include <vector>
 
@@ -88,6 +89,20 @@ TEST(VrfDrawMemo, TwoKeypairsOnOneThread) {
   EXPECT_EQ(vrf_output(kp2, alpha), d2.output);
   EXPECT_EQ(vrf_prove(kp1, alpha), d1.proof);
   EXPECT_NE(d1.output, d2.output);
+}
+
+// One thread cycling through three keys, output then proof of each draw:
+// every switch of key refills the memo and H's table, and every result
+// equals a fresh thread's.
+TEST(VrfDrawMemo, AlternatingKeysMatchFreshThread) {
+  const std::array<Ed25519KeyPair, 3> kps{keypair(47), keypair(48), keypair(49)};
+  for (int i = 0; i < 9; ++i) {
+    const auto& kp = kps[static_cast<std::size_t>(i) % kps.size()];
+    const Bytes alpha = bytes_of("alternate " + std::to_string(i / 2));
+    const Draw expected = fresh_draw(kp, alpha);
+    EXPECT_EQ(vrf_output(kp, alpha), expected.output) << i;
+    EXPECT_EQ(vrf_prove(kp, alpha), expected.proof) << i;
+  }
 }
 
 // The memo sits below Signer, so the provider's signer hits it too.
