@@ -295,6 +295,20 @@ void BM_FastBackendVrf(benchmark::State& state) {
 }
 BENCHMARK(BM_FastBackendVrf);
 
+// One sampler draw on the fast backend: the output, then the proof of the
+// same alpha, one keyed hash between them (the signer's draw memo).
+void BM_FastSignerVrfDraw(benchmark::State& state) {
+  const auto provider = make_fast_crypto();
+  const auto signer = provider->make_signer(make_payload(32));
+  AlphaStream alphas;
+  for (auto _ : state) {
+    const BytesView alpha = alphas.next();
+    benchmark::DoNotOptimize(signer->vrf_output(alpha));
+    benchmark::DoNotOptimize(signer->vrf_prove(alpha));
+  }
+}
+BENCHMARK(BM_FastSignerVrfDraw);
+
 }  // namespace
 
 BENCHMARK_MAIN();

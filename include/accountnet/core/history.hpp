@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,7 +101,7 @@ class UpdateHistory {
   std::vector<HistoryEntry> entries_from(std::uint64_t index, std::size_t count) const;
 
   /// Replays entries (oldest first) from an empty set.
-  static Peerset reconstruct(const std::vector<HistoryEntry>& suffix);
+  static Peerset reconstruct(std::span<const HistoryEntry> suffix);
 
   /// Smallest k such that replaying the last k entries reconstructs
   /// `current` exactly; returns size()+1 if even the full history falls

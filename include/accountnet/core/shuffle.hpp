@@ -180,10 +180,9 @@ VerifyError check_response_body_sig(const ShuffleResponse& response,
 
 /// Algorithm 3 core, shared by both sides: removes `removed`, adds `received`
 /// (capacity- and self-aware), refills from `removed` if space remains, and
-/// returns the committed history entry. Exposed for tests.
-HistoryEntry apply_update(NodeState& state, const PeerId& counterpart,
-                          Round counterpart_round, Bytes counterpart_sig,
-                          bool initiated, const std::vector<PeerId>& removed,
-                          const std::vector<PeerId>& received);
+/// commits the history entry. Exposed for tests.
+void apply_update(NodeState& state, const PeerId& counterpart, Round counterpart_round,
+                  Bytes counterpart_sig, bool initiated, const std::vector<PeerId>& removed,
+                  const std::vector<PeerId>& received);
 
 }  // namespace accountnet::core

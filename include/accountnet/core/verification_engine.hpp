@@ -254,11 +254,14 @@ class VerificationEngine final : public crypto::CryptoProvider {
     std::array<std::uint8_t, 64> beta{};
   };
 
+  /// SHA-256 over (kind, the key's generation, key, input, proof): the
+  /// verdict caches' key.
+  using CacheKey = std::array<std::uint8_t, 32>;
+
   std::uint64_t generation(const crypto::PublicKeyBytes& pk) const;
-  std::string sig_key(const crypto::PublicKeyBytes& pk, BytesView msg,
-                      BytesView sig) const;
-  std::string vrf_key(const crypto::PublicKeyBytes& pk, BytesView alpha,
-                      BytesView proof) const;
+  CacheKey sig_key(const crypto::PublicKeyBytes& pk, BytesView msg, BytesView sig) const;
+  CacheKey vrf_key(const crypto::PublicKeyBytes& pk, BytesView alpha,
+                   BytesView proof) const;
   /// Resolves `jobs[miss[i]]` through the inner provider (batched or not)
   /// into `verdicts`; counts + times the batch.
   void resolve_misses(std::span<const crypto::VerifyJob> jobs,
@@ -279,13 +282,13 @@ class VerificationEngine final : public crypto::CryptoProvider {
 
   // mutable: the CryptoProvider interface is const, and memo upkeep is
   // observable only through stats/metrics, never through verdicts.
-  mutable BoundedMap<std::string, bool> sig_cache_;
-  mutable BoundedMap<std::string, VrfVerdict> vrf_cache_;
+  mutable BoundedMap<CacheKey, bool, BytePrefixHash> sig_cache_;
+  mutable BoundedMap<CacheKey, VrfVerdict, BytePrefixHash> vrf_cache_;
   BoundedMap<std::string, PartnerMemo> memos_;
   /// Invalidation generations per signer key; absent = 0. Bounded like the
   /// caches — losing a generation can only re-expose verdicts for
   /// immutable (key, message, signature) facts, never a partner memo.
-  mutable BoundedMap<std::string, std::uint64_t> generations_;
+  mutable BoundedMap<crypto::PublicKeyBytes, std::uint64_t, BytePrefixHash> generations_;
   mutable std::uint64_t reported_evictions_ = 0;
   mutable Stats stats_;
 

@@ -16,6 +16,7 @@
 // is a bug and is surfaced in the stats.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -31,6 +32,7 @@
 #include "accountnet/obs/span.hpp"
 #include "accountnet/sim/fault.hpp"
 #include "accountnet/sim/simulator.hpp"
+#include "accountnet/util/order_stat.hpp"
 #include "accountnet/util/rng.hpp"
 #include "accountnet/util/stats.hpp"
 
@@ -304,6 +306,9 @@ class NetworkSim {
                     HarnessStats& stats);
   void purge_zombies(HarnessNode& node);
   void update_coverage(HarnessNode& node);
+  /// The bootstrap group `node` joins through and is listed in while alive
+  /// and joined: under kSeparateOverlay one per coalition, otherwise one.
+  OrderStatIndex& bootstrap_group(const HarnessNode& node);
   std::size_t index_of(const core::PeerId& peer) const;
   void sync_metrics();
 
@@ -335,6 +340,9 @@ class NetworkSim {
   std::unordered_map<std::string, std::size_t> addr_to_index_;
   std::size_t alive_count_ = 0;
   std::size_t joined_count_ = 0;
+  /// Alive and joined nodes by index, per bootstrap group; a joining node
+  /// bootstraps through a uniform pick of its group's members.
+  std::array<OrderStatIndex, 2> bootstrap_groups_;
   std::size_t rounds_completed_ = 0;
   bool run_started_ = false;
   HarnessStats stats_;

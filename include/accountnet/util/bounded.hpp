@@ -13,8 +13,10 @@
 // O(capacity) even under heavy insert/erase churn.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
@@ -80,8 +82,18 @@ class BoundedSet {
   std::uint64_t evictions_ = 0;
 };
 
+/// Hash of a 32-byte key whose bytes are already uniform (a SHA-256 digest,
+/// a public key): its first 8 bytes.
+struct BytePrefixHash {
+  std::size_t operator()(const std::array<std::uint8_t, 32>& bytes) const {
+    std::uint64_t h;
+    std::memcpy(&h, bytes.data(), sizeof h);
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// Map with FIFO eviction once `capacity` distinct keys are resident.
-template <typename K, typename V>
+template <typename K, typename V, typename Hash = std::hash<K>>
 class BoundedMap {
  public:
   explicit BoundedMap(std::size_t capacity) : capacity_(capacity) {
@@ -89,13 +101,15 @@ class BoundedMap {
   }
 
   /// operator[]-style access: default-constructs (and possibly evicts) when
-  /// the key is absent.
+  /// the key is absent. One probe: the key goes in, then the oldest keys
+  /// make room for it.
   V& at_or_insert(const K& key) {
-    const auto it = map_.find(key);
-    if (it != map_.end()) return it->second;
-    evict_if_full();
-    order_.push_back(key);
-    return map_[key];
+    const auto [it, inserted] = map_.try_emplace(key);
+    if (inserted) {
+      evict_over_capacity(key);
+      order_.push_back(key);
+    }
+    return it->second;
   }
 
   void put(const K& key, V value) { at_or_insert(key) = std::move(value); }
@@ -119,12 +133,14 @@ class BoundedMap {
   std::uint64_t evictions() const { return evictions_; }
 
  private:
-  void evict_if_full() {
-    while (map_.size() >= capacity_) {
+  /// `fresh` was just inserted. A log entry for it left over from an earlier
+  /// erase() is stale, and is dropped like any other stale entry.
+  void evict_over_capacity(const K& fresh) {
+    while (map_.size() > capacity_) {
       AN_ENSURE(!order_.empty());
-      const K victim = order_.front();
+      const K victim = std::move(order_.front());
       order_.pop_front();
-      if (map_.erase(victim) > 0) ++evictions_;
+      if (!(victim == fresh) && map_.erase(victim) > 0) ++evictions_;
     }
   }
 
@@ -138,7 +154,7 @@ class BoundedMap {
   }
 
   std::size_t capacity_;
-  std::unordered_map<K, V> map_;
+  std::unordered_map<K, V, Hash> map_;
   std::deque<K> order_;
   std::uint64_t evictions_ = 0;
 };

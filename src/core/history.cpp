@@ -117,7 +117,7 @@ const HistoryEntry& UpdateHistory::back() const {
   return entries_.back();
 }
 
-Peerset UpdateHistory::reconstruct(const std::vector<HistoryEntry>& suffix) {
+Peerset UpdateHistory::reconstruct(std::span<const HistoryEntry> suffix) {
   Peerset n;
   for (const auto& e : suffix) {
     for (const auto& p : e.out) n.erase(p);
@@ -149,9 +149,9 @@ std::size_t UpdateHistory::minimal_suffix_length(const Peerset& current) const {
     for (const auto& p : e.in) mark(p);
     for (const auto& p : e.fill) mark(p);
     if (covered == current.size()) {
-      // Candidate length k+1; confirm by replay (removals could interleave).
-      const auto candidate = suffix(k + 1);
-      if (reconstruct(candidate) == current) return k + 1;
+      // Candidate length k+1; confirm by replaying it in place (removals
+      // could interleave).
+      if (reconstruct(std::span(entries_).last(k + 1)) == current) return k + 1;
     }
   }
   if (reconstruct(entries_) == current) return entries_.size();

@@ -86,13 +86,14 @@ struct HistoryProof {
 HistoryProof make_history_proof(const NodeState& state) {
   HistoryProof proof;
   const auto& h = state.history();
-  if (state.checkpoint() && state.history().minimal_suffix_length(state.peerset()) > h.size()) {
+  const std::size_t k = h.minimal_suffix_length(state.peerset());
+  if (state.checkpoint() && k > h.size()) {
     proof.anchor = state.checkpoint();
     proof.suffix = h.entries_from(
         proof.anchor->sealed_count,
         static_cast<std::size_t>(h.total_appended() - proof.anchor->sealed_count));
   } else {
-    proof.suffix = h.proof_suffix(state.peerset());
+    proof.suffix = h.suffix(k);  // proof_suffix() without a second search
   }
   return proof;
 }
@@ -210,11 +211,11 @@ ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
 
   const Peerset candidates = state.peerset().minus({partner.partner});
   const std::size_t want = state.config().shuffle_length - 1;  // L-1; v_i added implicitly
-  const Draw draw = sampler_backend(state.config().sampler)
-                        .draw(state.signer(), candidates, want, kSampleDomain,
-                              round_nonce(responder_round));
-  offer.sample = draw.sample;
-  offer.sample_proofs = draw.proofs;
+  Draw draw = sampler_backend(state.config().sampler)
+                  .draw(state.signer(), candidates, want, kSampleDomain,
+                        round_nonce(responder_round));
+  offer.sample = std::move(draw.sample);
+  offer.sample_proofs = std::move(draw.proofs);
   offer.partner_proofs = partner.proofs;
   offer.claimed_peerset = state.peerset().sorted();
   HistoryProof proof = make_history_proof(state);
@@ -409,10 +410,9 @@ void gather_offer_checks(const ShuffleOffer& offer, const NodeState& state,
                        offer.sample_proofs);
 }
 
-HistoryEntry apply_update(NodeState& state, const PeerId& counterpart,
-                          Round counterpart_round, Bytes counterpart_sig,
-                          bool initiated, const std::vector<PeerId>& removed,
-                          const std::vector<PeerId>& received) {
+void apply_update(NodeState& state, const PeerId& counterpart, Round counterpart_round,
+                  Bytes counterpart_sig, bool initiated, const std::vector<PeerId>& removed,
+                  const std::vector<PeerId>& received) {
   Peerset next = state.peerset().minus(removed);
 
   HistoryEntry e;
@@ -446,9 +446,7 @@ HistoryEntry apply_update(NodeState& state, const PeerId& counterpart,
     }
   }
 
-  HistoryEntry committed = e;
   state.commit_shuffle(std::move(e), std::move(next));
-  return committed;
 }
 
 ShuffleResponse make_response_and_commit(NodeState& state, const ShuffleOffer& offer) {
@@ -463,11 +461,11 @@ ShuffleResponse make_response_and_commit(NodeState& state, const ShuffleOffer& o
 
   // B: L peers drawn from N_j - {v_i}, seeded by the initiator's round.
   const Peerset candidates = state.peerset().minus({offer.initiator});
-  const Draw draw = sampler_backend(state.config().sampler)
-                        .draw(state.signer(), candidates, state.config().shuffle_length,
-                              kSampleDomain, round_nonce(offer.initiator_round));
-  resp.sample = draw.sample;
-  resp.sample_proofs = draw.proofs;
+  Draw draw = sampler_backend(state.config().sampler)
+                  .draw(state.signer(), candidates, state.config().shuffle_length,
+                        kSampleDomain, round_nonce(offer.initiator_round));
+  resp.sample = std::move(draw.sample);
+  resp.sample_proofs = std::move(draw.proofs);
 
   // Commit the responder-side update: remove B, add A ∪ {v_i}.
   std::vector<PeerId> received = offer.sample;

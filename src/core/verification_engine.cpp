@@ -18,10 +18,6 @@ void update_u64le(crypto::Sha256& h, std::uint64_t v) {
   h.update(BytesView(b.data(), b.size()));
 }
 
-std::string digest_to_key(const crypto::Sha256::Digest& d) {
-  return std::string(reinterpret_cast<const char*>(d.data()), d.size());
-}
-
 crypto::VerifyVerdict run_job(const crypto::CryptoProvider& provider,
                               const crypto::VerifyJob& job) {
   crypto::VerifyVerdict v;
@@ -40,10 +36,6 @@ std::string memo_key(const PeerId& node) {
   key.push_back('\0');
   key.append(reinterpret_cast<const char*>(node.key.data()), node.key.size());
   return key;
-}
-
-std::string pk_key(const crypto::PublicKeyBytes& pk) {
-  return std::string(reinterpret_cast<const char*>(pk.data()), pk.size());
 }
 
 }  // namespace
@@ -78,12 +70,13 @@ VerificationEngine::VerificationEngine(const crypto::CryptoProvider& inner,
 }
 
 std::uint64_t VerificationEngine::generation(const crypto::PublicKeyBytes& pk) const {
-  const std::uint64_t* g = generations_.find(pk_key(pk));
+  const std::uint64_t* g = generations_.find(pk);
   return g == nullptr ? 0 : *g;
 }
 
-std::string VerificationEngine::sig_key(const crypto::PublicKeyBytes& pk, BytesView msg,
-                                        BytesView sig) const {
+VerificationEngine::CacheKey VerificationEngine::sig_key(const crypto::PublicKeyBytes& pk,
+                                                         BytesView msg,
+                                                         BytesView sig) const {
   crypto::Sha256 h;
   const std::uint8_t tag = 0x01;
   h.update(BytesView(&tag, 1));
@@ -92,11 +85,12 @@ std::string VerificationEngine::sig_key(const crypto::PublicKeyBytes& pk, BytesV
   update_u64le(h, msg.size());
   h.update(msg);
   h.update(sig);
-  return digest_to_key(h.finish());
+  return h.finish();
 }
 
-std::string VerificationEngine::vrf_key(const crypto::PublicKeyBytes& pk, BytesView alpha,
-                                        BytesView proof) const {
+VerificationEngine::CacheKey VerificationEngine::vrf_key(const crypto::PublicKeyBytes& pk,
+                                                         BytesView alpha,
+                                                         BytesView proof) const {
   crypto::Sha256 h;
   const std::uint8_t tag = 0x02;
   h.update(BytesView(&tag, 1));
@@ -105,7 +99,7 @@ std::string VerificationEngine::vrf_key(const crypto::PublicKeyBytes& pk, BytesV
   update_u64le(h, alpha.size());
   h.update(alpha);
   h.update(proof);
-  return digest_to_key(h.finish());
+  return h.finish();
 }
 
 void VerificationEngine::sync_evictions() const {
@@ -135,7 +129,7 @@ const char* VerificationEngine::name() const { return inner_.name(); }
 bool VerificationEngine::verify(const crypto::PublicKeyBytes& pk, BytesView msg,
                                 BytesView sig) const {
   if (!config_.enable_cache) return inner_.verify(pk, msg, sig);
-  const std::string key = sig_key(pk, msg, sig);
+  const CacheKey key = sig_key(pk, msg, sig);
   if (const bool* hit = sig_cache_.find(key)) {
     ++stats_.sig_hits;
     if (registry_ != nullptr) registry_->add(ids_.hit);
@@ -153,7 +147,7 @@ bool VerificationEngine::verify(const crypto::PublicKeyBytes& pk, BytesView msg,
 std::optional<std::array<std::uint8_t, 64>> VerificationEngine::vrf_verify(
     const crypto::PublicKeyBytes& pk, BytesView alpha, BytesView proof) const {
   if (!config_.enable_cache) return inner_.vrf_verify(pk, alpha, proof);
-  const std::string key = vrf_key(pk, alpha, proof);
+  const CacheKey key = vrf_key(pk, alpha, proof);
   if (const VrfVerdict* hit = vrf_cache_.find(key)) {
     ++stats_.vrf_hits;
     if (registry_ != nullptr) registry_->add(ids_.hit);
@@ -201,7 +195,7 @@ void VerificationEngine::verify_batch(std::span<const crypto::VerifyJob> jobs,
                                       std::span<crypto::VerifyVerdict> verdicts) const {
   AN_ENSURE_MSG(jobs.size() == verdicts.size(), "verify_batch verdict slot mismatch");
   std::vector<std::size_t> miss;
-  std::vector<std::string> keys;
+  std::vector<CacheKey> keys;
   if (!config_.enable_cache) {
     miss.resize(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) miss[i] = i;
@@ -479,7 +473,7 @@ void GatherSink::add_vrf(const crypto::PublicKeyBytes& pk, Bytes alpha, BytesVie
 void VerificationEngine::gather_sig(GatherSink& sink, const crypto::PublicKeyBytes& pk,
                                     Bytes msg, BytesView sig) const {
   if (!config_.enable_cache) return;
-  const std::string key = sig_key(pk, BytesView(msg.data(), msg.size()), sig);
+  const CacheKey key = sig_key(pk, BytesView(msg.data(), msg.size()), sig);
   if (sig_cache_.find(key) != nullptr) return;
   sink.add_sig(pk, std::move(msg), sig);
 }
@@ -487,7 +481,7 @@ void VerificationEngine::gather_sig(GatherSink& sink, const crypto::PublicKeyByt
 void VerificationEngine::gather_vrf(GatherSink& sink, const crypto::PublicKeyBytes& pk,
                                     Bytes alpha, BytesView proof) const {
   if (!config_.enable_cache) return;
-  const std::string key = vrf_key(pk, BytesView(alpha.data(), alpha.size()), proof);
+  const CacheKey key = vrf_key(pk, BytesView(alpha.data(), alpha.size()), proof);
   if (vrf_cache_.find(key) != nullptr) return;
   sink.add_vrf(pk, std::move(alpha), proof);
 }
@@ -577,13 +571,13 @@ std::size_t VerificationEngine::preload(
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& job = jobs[i];
     if (job.kind == crypto::VerifyJob::Kind::kSignature) {
-      const std::string key = sig_key(job.pk, job.msg, job.sig);
+      const CacheKey key = sig_key(job.pk, job.msg, job.sig);
       if (sig_cache_.find(key) == nullptr) {
         sig_cache_.put(key, verdicts[i].ok);
         ++installed;
       }
     } else {
-      const std::string key = vrf_key(job.pk, job.msg, job.sig);
+      const CacheKey key = vrf_key(job.pk, job.msg, job.sig);
       if (vrf_cache_.find(key) == nullptr) {
         VrfVerdict v;
         v.ok = verdicts[i].ok;
@@ -600,7 +594,7 @@ std::size_t VerificationEngine::preload(
 
 void VerificationEngine::invalidate(const PeerId& node) {
   memos_.erase(memo_key(node));
-  ++generations_.at_or_insert(pk_key(node.key));
+  ++generations_.at_or_insert(node.key);
   ++stats_.invalidations;
   if (registry_ != nullptr) registry_->add(ids_.invalidations);
   sync_evictions();
@@ -608,10 +602,10 @@ void VerificationEngine::invalidate(const PeerId& node) {
 }
 
 void VerificationEngine::clear() {
-  sig_cache_ = BoundedMap<std::string, bool>(config_.sig_cache_capacity);
-  vrf_cache_ = BoundedMap<std::string, VrfVerdict>(config_.vrf_cache_capacity);
-  memos_ = BoundedMap<std::string, PartnerMemo>(config_.history_memo_capacity);
-  generations_ = BoundedMap<std::string, std::uint64_t>(config_.sig_cache_capacity);
+  sig_cache_ = decltype(sig_cache_)(config_.sig_cache_capacity);
+  vrf_cache_ = decltype(vrf_cache_)(config_.vrf_cache_capacity);
+  memos_ = decltype(memos_)(config_.history_memo_capacity);
+  generations_ = decltype(generations_)(config_.sig_cache_capacity);
   reported_evictions_ = 0;
   update_gauges();
 }

@@ -1,7 +1,6 @@
 #include "accountnet/crypto/provider.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -12,6 +11,7 @@
 #include "accountnet/crypto/sha256.hpp"
 #include "accountnet/crypto/sha512.hpp"
 #include "accountnet/crypto/vrf.hpp"
+#include "accountnet/util/bounded.hpp"
 #include "accountnet/util/ensure.hpp"
 
 namespace accountnet::crypto {
@@ -134,13 +134,6 @@ class KeyCache {
   }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const PublicKeyBytes& pk) const {
-      std::uint64_t h;
-      std::memcpy(&h, pk.data(), sizeof h);
-      return static_cast<std::size_t>(h);
-    }
-  };
   struct Slot {
     std::shared_ptr<const VerifyKey> key;
     bool used;           // looked up since the CLOCK hand last passed
@@ -148,7 +141,7 @@ class KeyCache {
   };
 
   mutable std::mutex mu_;
-  std::unordered_map<PublicKeyBytes, std::size_t, KeyHash> index_;  // key -> slot
+  std::unordered_map<PublicKeyBytes, std::size_t, BytePrefixHash> index_;  // key -> slot
   std::vector<Slot> slots_;
   std::size_t hand_ = 0;
   std::size_t tables_built_ = 0;
@@ -249,6 +242,35 @@ std::array<std::uint8_t, 64> fast_vrf_output(const PublicKeyBytes& pk, BytesView
   return h.finish();
 }
 
+/// The fast backend's counterpart of the real backend's draw memo
+/// (vrf.cpp): every sampler asks for the output and then the proof of the
+/// same alpha, and here both are the one keyed hash, so each thread
+/// remembers its last (key, alpha) and its hash. `valid` drops before the
+/// key and alpha change, so a failed allocation in the copy of alpha leaves
+/// no entry that pairs one input with another input's hash.
+struct FastDraw {
+  bool valid = false;
+  PublicKeyBytes pk{};
+  Bytes alpha;
+  std::array<std::uint8_t, 64> beta{};
+};
+
+thread_local FastDraw t_last_fast_draw;
+
+const std::array<std::uint8_t, 64>& fast_draw(const PublicKeyBytes& pk, BytesView alpha) {
+  FastDraw& d = t_last_fast_draw;
+  if (d.valid && d.pk == pk &&
+      std::equal(d.alpha.begin(), d.alpha.end(), alpha.begin(), alpha.end())) {
+    return d.beta;
+  }
+  d.valid = false;
+  d.alpha.assign(alpha.begin(), alpha.end());
+  d.pk = pk;
+  d.beta = fast_vrf_output(pk, alpha);
+  d.valid = true;
+  return d.beta;
+}
+
 class FastSigner final : public Signer {
  public:
   explicit FastSigner(BytesView seed32) : pk_(fast_public_key(seed32)) {}
@@ -262,12 +284,12 @@ class FastSigner final : public Signer {
 
   Bytes vrf_prove(BytesView alpha) const override {
     // The "proof" is the output itself; verification recomputes it.
-    const auto out = fast_vrf_output(pk_, alpha);
+    const auto& out = fast_draw(pk_, alpha);
     return Bytes(out.begin(), out.end());
   }
 
   std::array<std::uint8_t, 64> vrf_output(BytesView alpha) const override {
-    return fast_vrf_output(pk_, alpha);
+    return fast_draw(pk_, alpha);
   }
 
  private:

@@ -123,6 +123,7 @@ NetworkSim::NetworkSim(ExperimentConfig config)
   node_config_.sampler = config_.sampler;
 
   nodes_.reserve(config_.network_size);
+  bootstrap_groups_.fill(OrderStatIndex(config_.network_size));
   const std::size_t lanes =
       (config_.network_size + config_.lane_size - 1) / config_.lane_size;
   std::vector<sim::TimePoint> lane_clock(lanes, 0);
@@ -256,22 +257,14 @@ void NetworkSim::launch_node(std::size_t idx) {
   ++alive_count_;
 
   // Bootstrap through a random already-joined node of the compatible group
-  // (in separate-overlay mode the coalitions never mix, Sec. IV-B).
-  std::vector<std::size_t> candidates;
-  for (const auto& other : nodes_) {
-    if (!other->alive || !other->joined || other->index == idx) continue;
-    if (config_.malicious_mode == MaliciousMode::kSeparateOverlay &&
-        other->malicious != hn.malicious) {
-      continue;
-    }
-    candidates.push_back(other->index);
-  }
-
-  if (candidates.empty()) {
+  // (in separate-overlay mode the coalitions never mix, Sec. IV-B). The k-th
+  // smallest index of the group is the node a scan of nodes_ would list k-th.
+  OrderStatIndex& group = bootstrap_group(hn);
+  if (group.empty()) {
     hn.state->init_as_seed();
     hn.joined = true;
   } else {
-    const std::size_t bn_idx = candidates[hn.rng.uniform(candidates.size())];
+    const std::size_t bn_idx = group.kth(hn.rng.uniform(group.size()));
     HarnessNode& bn = *nodes_[bn_idx];
     // Bootstrap provides itself plus its depth-d neighborhood (Sec. IV-A).
     std::vector<core::PeerId> offer = {bn.state->self()};
@@ -288,8 +281,15 @@ void NetworkSim::launch_node(std::size_t idx) {
     hn.joined = true;
   }
   ++joined_count_;
+  group.insert(idx);
   update_coverage(hn);
   schedule_shuffle(idx);
+}
+
+OrderStatIndex& NetworkSim::bootstrap_group(const HarnessNode& node) {
+  const bool apart =
+      config_.malicious_mode == MaliciousMode::kSeparateOverlay && node.malicious;
+  return bootstrap_groups_[apart ? 1 : 0];
 }
 
 void NetworkSim::schedule_shuffle(std::size_t idx) {
@@ -929,7 +929,10 @@ void NetworkSim::schedule_churn(std::size_t count, sim::TimePoint start,
       if (!hn.alive) return;
       hn.alive = false;
       --alive_count_;
-      if (hn.joined) --joined_count_;
+      if (hn.joined) {
+        --joined_count_;
+        bootstrap_group(hn).erase(victim);
+      }
     });
   }
 }
@@ -945,7 +948,10 @@ void NetworkSim::schedule_crash_restart(std::size_t idx, sim::TimePoint crash_at
     if (!hn.alive) return;
     hn.alive = false;  // also terminates the schedule_shuffle timer chain
     --alive_count_;
-    if (hn.joined) --joined_count_;
+    if (hn.joined) {
+      --joined_count_;
+      bootstrap_group(hn).erase(idx);
+    }
     hn.joined = false;
     // Process death: every byte of RAM is gone — protocol state, verifier
     // caches, leaver/quarantine sets, even the journal object. Only
@@ -983,6 +989,7 @@ void NetworkSim::restart_node(std::size_t idx) {
   hn.joined = true;
   ++alive_count_;
   ++joined_count_;
+  bootstrap_group(hn).insert(idx);
   ++recovery_restarts_;
   recovery_entries_replayed_ += rec.entries.size();
   update_coverage(hn);

@@ -3,6 +3,7 @@
 
 #include "accountnet/core/history.hpp"
 #include "accountnet/util/ensure.hpp"
+#include "accountnet/util/rng.hpp"
 
 namespace accountnet::core {
 namespace {
@@ -94,6 +95,66 @@ TEST(History, MinimalSuffixImpossibleAfterTrim) {
   EXPECT_EQ(h.minimal_suffix_length(current), h.size() + 1);
   // proof_suffix degrades to everything retained.
   EXPECT_EQ(h.proof_suffix(current).size(), 1u);
+}
+
+// Copying reference for minimal_suffix_length: the smallest k whose copied
+// suffix replays to `current`, or size() + 1 if none does.
+std::size_t reference_minimal_suffix(const UpdateHistory& h, const Peerset& current) {
+  for (std::size_t k = 0; k <= h.size(); ++k) {
+    if (UpdateHistory::reconstruct(h.suffix(k)) == current) return k;
+  }
+  return h.size() + 1;
+}
+
+// Seeded random histories over a small peer universe, so peers leave and come
+// back (in, then out, then in or fill again) and the claimed peerset is
+// sometimes stale: a peer removed after its last insertion. Every current
+// peer is then inserted within some suffix, yet replaying it comes out
+// short, so the replay step rejects the candidate.
+TEST(History, MinimalSuffixMatchesCopyingReferenceOnRandomHistories) {
+  Rng rng(20260417);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t universe = 3 + rng.uniform(6);
+    const auto random_peers = [&](std::size_t max) {
+      std::vector<std::string> out;
+      const std::size_t n = rng.uniform(max + 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        out.push_back("p" + std::to_string(rng.uniform(universe)));
+      }
+      return out;
+    };
+    UpdateHistory h;
+    const std::size_t len = rng.uniform(12);
+    for (Round r = 0; r < len; ++r) {
+      h.append(shuffle_entry(r, random_peers(2), random_peers(3), random_peers(1)));
+    }
+    if (rng.chance(0.2)) h.trim(rng.uniform(len + 1));
+
+    Peerset current = UpdateHistory::reconstruct(h.entries());
+    if (rng.chance(0.3)) {
+      current = UpdateHistory::reconstruct(h.suffix(rng.uniform(len + 1)));
+    }
+    if (rng.chance(0.3)) current.insert(pid("p" + std::to_string(rng.uniform(universe))));
+    if (rng.chance(0.1)) current = Peerset{};
+
+    const std::size_t want = reference_minimal_suffix(h, current);
+    ASSERT_EQ(h.minimal_suffix_length(current), want) << "trial " << trial;
+    EXPECT_EQ(h.proof_suffix(current), h.suffix(std::min(want, h.size())))
+        << "trial " << trial;
+
+    bool all_inserted = true;
+    for (const auto& p : current.sorted()) {
+      bool inserted = false;
+      for (const auto& e : h.entries()) {
+        for (const auto& q : e.in) inserted = inserted || q == p;
+        for (const auto& q : e.fill) inserted = inserted || q == p;
+      }
+      all_inserted = all_inserted && inserted;
+    }
+    if (!current.empty() && all_inserted && want > h.size()) ++rejected;
+  }
+  EXPECT_GT(rejected, 10u);  // the replay step did reject candidates
 }
 
 TEST(History, SuffixReturnsNewestEntriesOldestFirst) {

@@ -1,14 +1,18 @@
-// The per-thread draw memo under vrf_output/vrf_prove: whichever order the
-// calls come in, on whichever thread, with whatever interleaving of keys and
-// alphas, every proof and output equals the one a fresh thread (an empty
-// memo) computes.
+// The per-thread draw memos under vrf_output/vrf_prove, one per backend:
+// whichever order the calls come in, on whichever thread, with whatever
+// interleaving of keys and alphas, every proof and output equals the one a
+// fresh thread (an empty memo) computes, and for FastCrypto the keyed hash
+// computed directly.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "accountnet/crypto/provider.hpp"
+#include "accountnet/crypto/sha512.hpp"
 #include "accountnet/crypto/vrf.hpp"
 #include "accountnet/util/rng.hpp"
 
@@ -158,6 +162,120 @@ TEST(VrfDrawMemo, ConcurrentThreadsMatchSequential) {
     for (const auto& j : jobs[static_cast<std::size_t>(t)]) {
       EXPECT_EQ(j.got.proof, j.expected.proof) << "thread " << t;
       EXPECT_EQ(j.got.output, j.expected.output) << "thread " << t;
+    }
+  }
+}
+
+// FastCrypto's output and proof are both SHA-512("fastvrf" || pk || alpha);
+// this is that hash with no memo in front of it.
+Bytes fast_hash(const Signer& signer, const Bytes& alpha) {
+  Sha512 h;
+  h.update(bytes_of("fastvrf"));
+  h.update(signer.public_key());
+  h.update(alpha);
+  const auto out = h.finish();
+  return Bytes(out.begin(), out.end());
+}
+
+Bytes fast_output(const Signer& signer, const Bytes& alpha) {
+  const auto out = signer.vrf_output(alpha);
+  return Bytes(out.begin(), out.end());
+}
+
+std::unique_ptr<Signer> fast_signer(std::uint64_t seed_val) {
+  return make_fast_crypto()->make_signer(seed_bytes(seed_val));
+}
+
+TEST(FastSignerMemo, OutputAndProofInBothOrders) {
+  const auto signer = fast_signer(61);
+  for (int i = 0; i < 4; ++i) {
+    const Bytes alpha = bytes_of("fast draw " + std::to_string(i));
+    const Bytes expected = fast_hash(*signer, alpha);
+    if (i % 2 == 0) {
+      EXPECT_EQ(fast_output(*signer, alpha), expected) << i;  // miss
+      EXPECT_EQ(signer->vrf_prove(alpha), expected) << i;     // hit
+    } else {
+      EXPECT_EQ(signer->vrf_prove(alpha), expected) << i;     // miss
+      EXPECT_EQ(fast_output(*signer, alpha), expected) << i;  // hit
+    }
+    EXPECT_EQ(signer->vrf_prove(alpha), expected) << i;  // hit again
+  }
+}
+
+TEST(FastSignerMemo, InterleavedAlphas) {
+  const auto signer = fast_signer(62);
+  const Bytes a1 = bytes_of("alpha one");
+  const Bytes a2 = bytes_of("alpha two");
+  EXPECT_EQ(fast_output(*signer, a1), fast_hash(*signer, a1));
+  EXPECT_EQ(fast_output(*signer, a2), fast_hash(*signer, a2));
+  EXPECT_EQ(signer->vrf_prove(a1), fast_hash(*signer, a1));  // a2 evicted a1: a miss
+  EXPECT_EQ(signer->vrf_prove(a2), fast_hash(*signer, a2));
+  // An alpha that is a prefix of the remembered one is a different input.
+  const Bytes prefix(a2.begin(), a2.end() - 1);
+  EXPECT_EQ(fast_output(*signer, prefix), fast_hash(*signer, prefix));
+  EXPECT_EQ(signer->vrf_prove(Bytes{}), fast_hash(*signer, Bytes{}));
+}
+
+TEST(FastSignerMemo, TwoKeysOnOneThread) {
+  const auto s1 = fast_signer(63);
+  const auto s2 = fast_signer(64);
+  const Bytes alpha = bytes_of("shared alpha");
+  EXPECT_EQ(fast_output(*s1, alpha), fast_hash(*s1, alpha));
+  EXPECT_EQ(s2->vrf_prove(alpha), fast_hash(*s2, alpha));  // same alpha, other key: a miss
+  EXPECT_EQ(fast_output(*s2, alpha), fast_hash(*s2, alpha));
+  EXPECT_EQ(s1->vrf_prove(alpha), fast_hash(*s1, alpha));
+  EXPECT_NE(fast_hash(*s1, alpha), fast_hash(*s2, alpha));
+  // The provider verifies what either signer proved.
+  const auto provider = make_fast_crypto();
+  EXPECT_TRUE(provider->vrf_verify(s1->public_key(), alpha, s1->vrf_prove(alpha)));
+  EXPECT_FALSE(provider->vrf_verify(s2->public_key(), alpha, s1->vrf_prove(alpha)));
+}
+
+// Four threads draw at once through signers they share, each interleaving
+// keys and alphas in the sampler's output-then-prove order and in the
+// reverse order; every result must equal the keyed hash. Run under TSan in
+// CI.
+TEST(FastSignerMemo, ConcurrentThreadsMatchUnmemoizedHash) {
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 64;
+  const std::array<std::unique_ptr<Signer>, 3> signers{fast_signer(65), fast_signer(66),
+                                                       fast_signer(67)};
+  struct Job {
+    const Signer* signer;
+    Bytes alpha;
+    Bytes expected;
+    Bytes output;
+    Bytes proof;
+  };
+  std::vector<std::vector<Job>> jobs(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kDraws; ++i) {
+      Job j{};
+      j.signer = signers[static_cast<std::size_t>(t + i) % signers.size()].get();
+      j.alpha = bytes_of("t" + std::to_string(t) + " i" + std::to_string(i % 5));
+      j.expected = fast_hash(*j.signer, j.alpha);
+      jobs[static_cast<std::size_t>(t)].push_back(std::move(j));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&jobs, t] {
+      for (auto& j : jobs[static_cast<std::size_t>(t)]) {
+        if (t % 2 == 0) {
+          j.output = fast_output(*j.signer, j.alpha);
+          j.proof = j.signer->vrf_prove(j.alpha);
+        } else {
+          j.proof = j.signer->vrf_prove(j.alpha);
+          j.output = fast_output(*j.signer, j.alpha);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& j : jobs[static_cast<std::size_t>(t)]) {
+      EXPECT_EQ(j.output, j.expected) << "thread " << t;
+      EXPECT_EQ(j.proof, j.expected) << "thread " << t;
     }
   }
 }

@@ -158,5 +158,68 @@ TEST(ParallelDeterminism, CrashRestartScenarioBitIdentical) {
   }
 }
 
+/// Bootstrap picks while the network is still launching: two separate
+/// overlays, nodes of both groups crashing and restarting mid-launch, and
+/// churn kills landing among the launches. Every later join bootstraps
+/// through whichever nodes are alive and joined in its own group at that
+/// moment, so the digest pins the bootstrap choice at each transition.
+std::string launch_phase_digest(std::size_t threads) {
+  harness::ExperimentConfig c;
+  c.network_size = 96;
+  c.f = 5;
+  c.l = 3;
+  c.pm = 0.3;
+  c.malicious_mode = harness::MaliciousMode::kSeparateOverlay;
+  c.lane_size = 8;  // 12 lanes: launches run until about t = 80 s
+  c.verify_fraction = 0.5;
+  c.durable_nodes = true;
+  c.seed = 23;
+  c.threads = threads;
+  harness::NetworkSim net(c);
+  // Node i is the (i / 12)-th launch of lane i % 12, so nodes 0..11 are
+  // up by t = 10 s and nodes 12..23 by t = 20 s.
+  net.schedule_crash_restart(1, sim::seconds(12), sim::seconds(26));
+  net.schedule_crash_restart(4, sim::seconds(21), sim::seconds(33));
+  net.schedule_crash_restart(7, sim::seconds(15), sim::seconds(52));
+  net.schedule_crash_restart(14, sim::seconds(24), sim::seconds(41));
+  net.schedule_churn(10, sim::seconds(30), sim::seconds(30));
+  net.run(10, [](std::size_t) {});
+
+  wire::Writer w;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    w.u64(net.is_alive(i) ? 1 : 0);
+    w.u64(net.is_malicious(i) ? 1 : 0);
+    if (!net.is_alive(i)) continue;
+    const auto& st = net.node_state(i);
+    w.u64(st.round());
+    guard_fold_peers(w, st.peerset().sorted());
+  }
+  const auto& s = net.stats();
+  w.u64(s.shuffles_attempted);
+  w.u64(s.shuffles_completed);
+  w.u64(s.shuffles_verified);
+  w.u64(s.verification_failures);
+  w.u64(s.dead_partner_hits);
+  w.u64(s.refused_cross_group);
+  w.u64(s.leave_reports);
+  w.u64(net.alive_count());
+  w.u64(net.joined_count());
+  w.u64(net.recovery_crashes());
+  w.u64(net.recovery_restarts());
+  w.u64(net.recovery_entries_replayed());
+  const Bytes bytes = std::move(w).take();
+  return guard_hex(crypto::Sha256::hash(bytes));
+}
+
+// Captured from the build that listed bootstrap candidates by a linear scan
+// over every node; the order-statistic index must pick the same nodes.
+constexpr const char* kLaunchPhaseDigest =
+    "f450e6b230dbf07d9732e1e4669d229e795af9e0dcdeecca41f93e804547e652";
+
+TEST(ParallelDeterminism, LaunchPhaseCrashChurnDigestPinned) {
+  EXPECT_EQ(launch_phase_digest(0), kLaunchPhaseDigest);
+  EXPECT_EQ(launch_phase_digest(2), kLaunchPhaseDigest) << "threads 2";
+}
+
 }  // namespace
 }  // namespace accountnet::testing

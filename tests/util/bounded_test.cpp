@@ -1,10 +1,16 @@
 // BoundedSet / BoundedMap: FIFO eviction, erase tolerance, log compaction.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "accountnet/util/bounded.hpp"
 #include "accountnet/util/ensure.hpp"
+#include "accountnet/util/rng.hpp"
 
 namespace accountnet {
 namespace {
@@ -97,6 +103,75 @@ TEST(BoundedMap, EraseFreesASlot) {
   EXPECT_EQ(m.evictions(), 0u);
   EXPECT_TRUE(m.contains(2));
   EXPECT_TRUE(m.contains(3));
+}
+
+// An erased key leaves a stale log entry behind. Inserting that key again
+// into a full map must drop the stale entry, not evict the key it just
+// inserted, and then evict the oldest resident key.
+TEST(BoundedMap, ReinsertedKeySkipsItsOwnStaleLogEntry) {
+  BoundedMap<int, int> m(2);
+  m.put(1, 1);
+  m.put(2, 2);
+  EXPECT_TRUE(m.erase(1));
+  m.put(3, 3);   // log: 1 (stale), 2, 3
+  m.put(1, 10);  // drops the stale 1, evicts 2
+  ASSERT_NE(m.find(1), nullptr);
+  EXPECT_EQ(*m.find(1), 10);
+  EXPECT_FALSE(m.contains(2));
+  EXPECT_TRUE(m.contains(3));
+  EXPECT_EQ(m.evictions(), 1u);
+}
+
+// Byte-array keys hashed by their first 8 bytes, against a test-local copy of
+// the two-probe FIFO map (find, then evict, then insert): same residents, same
+// values, same eviction count after every step of a seeded insert/erase stream.
+TEST(BoundedMap, BytePrefixHashKeysMatchTwoProbeReference) {
+  using Key = std::array<std::uint8_t, 32>;
+  struct Reference {
+    std::size_t capacity;
+    std::map<Key, int> map;
+    std::deque<Key> order;
+    std::uint64_t evictions = 0;
+    int& at_or_insert(const Key& k) {
+      if (const auto it = map.find(k); it != map.end()) return it->second;
+      while (map.size() >= capacity) {
+        const Key victim = order.front();
+        order.pop_front();
+        if (map.erase(victim) > 0) ++evictions;
+      }
+      order.push_back(k);
+      return map[k];
+    }
+  };
+  Rng rng(77);
+  BoundedMap<Key, int, BytePrefixHash> m(8);
+  Reference ref{8, {}, {}, 0};
+  std::vector<Key> keys(20);
+  for (auto& k : keys) {
+    for (auto& b : k) b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  keys[1] = keys[0];
+  keys[1][31] ^= 1;  // same first 8 bytes: one hash bucket, different keys
+  for (int step = 0; step < 2000; ++step) {
+    const Key& k = keys[rng.uniform(keys.size())];
+    if (rng.chance(0.2)) {
+      const bool removed = ref.map.erase(k) > 0;
+      EXPECT_EQ(m.erase(k), removed);
+    } else {
+      m.at_or_insert(k) += step;
+      ref.at_or_insert(k) += step;
+    }
+    ASSERT_EQ(m.size(), ref.map.size()) << "step " << step;
+    ASSERT_EQ(m.evictions(), ref.evictions) << "step " << step;
+    for (const auto& key : keys) {
+      const auto it = ref.map.find(key);
+      const int* got = m.find(key);
+      ASSERT_EQ(got != nullptr, it != ref.map.end()) << "step " << step;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
+    }
+  }
 }
 
 TEST(BoundedMap, ZeroCapacityRejected) {
