@@ -24,10 +24,10 @@ struct BenchArgs {
   /// "kind":"timeseries" rows to their BENCH_*.json. Off by default so the
   /// default artifacts stay byte-identical.
   bool timeseries = false;
-  /// --threads N: drive harness-based benches with the wave-parallel
-  /// scheduler (harness::ExperimentConfig::threads). Results are
+  /// --threads N: harness::ExperimentConfig::threads for harness-based
+  /// benches; N >= 2 batches shuffles into waves on N workers. Results are
   /// bit-identical at every N; only wall-clock changes. 0 (the default)
-  /// keeps the classic sequential loop and byte-identical artifacts.
+  /// and 1 run each shuffle at once on the calling thread.
   std::size_t threads = 0;
   /// --trace PATH: byz_soak re-runs one attack with causal tracing on and
   /// exports the spans to PATH; the other benches ignore it. Empty = off.

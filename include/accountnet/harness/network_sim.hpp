@@ -120,17 +120,18 @@ struct ExperimentConfig {
                                                 .vrf_cache_capacity = 256,
                                                 .history_memo_capacity = 64};
 
-  /// Wave-parallel drive (docs/PARALLELISM.md). 0 (the default) keeps the
-  /// classic sequential event loop, byte-identical to every pre-parallel
-  /// run. N >= 1 plans shuffle events sequentially in event order, batches
-  /// conflict-free runs of them into waves executed on a WorkerPool of N
-  /// threads, and resolves every engine cache miss of a wave through ONE
-  /// global CryptoProvider::verify_batch — with results (digests, stats,
-  /// per-node protocol state) bit-identical to threads = 0 at every N.
-  /// threads = 1 runs the same wave machinery inline (no worker threads).
-  /// Only engine cache hit/miss/eviction *counters* may differ from the
-  /// sequential path (waves prefetch speculatively); verdicts never do.
-  /// Incompatible with set_tracer() and metrics timing (sequential-only).
+  /// Worker threads for the shuffle drive (docs/PARALLELISM.md). Every
+  /// shuffle event runs the same plan -> build -> exec -> merge body.
+  /// 0 and 1 (the default is 0) run each event at once on the calling
+  /// thread, as a wave of one: the engine verifies on its own, with no
+  /// gather, global batch or preload. N >= 2 batches conflict-free runs of
+  /// planned events into waves executed on a WorkerPool of N threads and
+  /// resolves every engine cache miss of a wave through ONE global
+  /// CryptoProvider::verify_batch — with results (digests, stats, per-node
+  /// protocol state) bit-identical to threads = 0 at every N. Only engine
+  /// cache hit/miss/eviction *counters* may differ (waves prefetch
+  /// speculatively); verdicts never do. N >= 2 is incompatible with
+  /// set_tracer() and metrics timing.
   std::size_t threads = 0;
 };
 
@@ -166,7 +167,7 @@ class NetworkSim {
   ///      one stopped — `run(a); run(b);` is indistinguishable from
   ///      `run(a + b);` — and the callback always receives the ABSOLUTE
   ///      round number (`rounds_completed()`), never a per-call index.
-  ///   3. In parallel mode any in-flight wave is flushed before each
+  ///   3. Any in-flight wave (threads >= 2) is flushed before each
   ///      callback, so analysis always observes a settled network.
   /// There is deliberately no reset(): nodes accumulate history, standing
   /// and journals that cannot be rewound — construct a fresh NetworkSim for
@@ -291,13 +292,11 @@ class NetworkSim {
 
   void launch_node(std::size_t idx);
   void restart_node(std::size_t idx);
-  void schedule_shuffle(std::size_t idx);
-  void do_shuffle(std::size_t idx);
   bool apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
                        const core::PeerId& partner);
-  /// `stats` is where counter bumps land: `stats_` on every sequential path,
-  /// a per-event scratch struct on the parallel exec path (merged in event
-  /// order at the wave barrier — exec workers must never touch `stats_`).
+  /// `stats` is where counter bumps land: the event's scratch struct, merged
+  /// in event order at the wave barrier (exec workers must never touch
+  /// `stats_`).
   void quarantine(HarnessNode& observer, const core::PeerId& accused,
                   HarnessStats& stats, obs::TraceContext ctx = {});
   void drop_cached_verdicts(HarnessNode& node, const core::PeerId& peer);
@@ -312,22 +311,37 @@ class NetworkSim {
   std::size_t index_of(const core::PeerId& peer) const;
   void sync_metrics();
 
-  // --- Wave-parallel drive (threads >= 1; docs/PARALLELISM.md) -------------
-  bool parallel() const { return config_.threads >= 1; }
-  /// Parallel-mode replacement for the do_shuffle event body: runs the
-  /// sequential prologue (partner choice, refusal/fault legs, RNG draws) in
-  /// event order and defers the data-parallel remainder into wave_.
+  // --- Shuffle drive (docs/PARALLELISM.md) ---------------------------------
+  /// Whether planned events batch into waves on the pool (threads >= 2).
+  bool parallel() const { return config_.threads >= 2; }
+  /// A shuffle timer event: runs the sequential prologue (partner choice,
+  /// refusal/fault legs, RNG draws) in event order, then hands the event to
+  /// dispatch_event.
   void plan_shuffle(std::size_t idx);
+  /// The planned event `next_`: run at once as a wave of one, or (parallel)
+  /// appended to wave_.
+  void dispatch_event();
+  /// Offer build + adversary mutation; with `gather`, also collects the
+  /// responder engine's cache misses into the event's sink.
+  void build_event(WaveEvent& ev, bool gather);
+  /// Verify, commit and apply one built event on its two nodes only.
+  void exec_event(WaveEvent& ev);
+  /// Folds the event's scratch stats and history sample into the run, then
+  /// re-arms its initiator. Runs in event order.
+  void merge_event(WaveEvent& ev);
+  /// Tags `span` with its outcome and ends it; no-op when span == 0.
+  void close_span(std::uint64_t span, const char* outcome);
   /// Executes the pending wave: build offers + gather engine cache misses
   /// (parallel) -> one global verify_batch -> preload verdicts -> exec
   /// verify/commit (parallel) -> merge stats/samples/re-arms (event order).
+  /// No-op when the wave is empty.
   void flush_wave();
-  /// Parallel-mode replacement for sim_.run_until: steps events one by one
-  /// so a wave can be flushed BEFORE simulated time passes the earliest
-  /// possible re-arm of a planned event (the wave_deadline_ rule).
+  /// Steps events one by one so a wave can be flushed BEFORE simulated time
+  /// passes the earliest possible re-arm of a planned event (the
+  /// wave_deadline_ rule). With an empty wave it is sim_.run_until.
   void drive_until(sim::TimePoint deadline);
-  /// Re-arm emitted at the merge barrier: same jitter draw and same absolute
-  /// timestamp the sequential path would have produced at `event_when`.
+  /// Arms idx's next shuffle timer one jittered period after `event_when`
+  /// (the launch time, or the timestamp of the event being re-armed).
   void rearm_shuffle_at(std::size_t idx, sim::TimePoint event_when);
 
   ExperimentConfig config_;
@@ -356,15 +370,17 @@ class NetworkSim {
   std::uint64_t recovery_entries_replayed_ = 0;
   std::vector<std::vector<std::uint8_t>> shuffle_pairs_;  // optional heatmap
 
-  // Wave-parallel drive state (empty/null in sequential mode).
+  // Shuffle drive state. The pool, the pooled provider and wave_ are used
+  // only when parallel().
   std::unique_ptr<util::WorkerPool> pool_;
   std::unique_ptr<crypto::PooledProvider> pooled_;
+  std::unique_ptr<WaveEvent> next_;    ///< the event plan_shuffle is filling
   std::vector<std::unique_ptr<WaveEvent>> wave_;
   std::vector<std::uint8_t> in_wave_;  ///< per-node: touched by a pending event
   sim::TimePoint wave_deadline_ = 0;   ///< latest safe event time before flush
   sim::Duration rearm_bound_ = 0;      ///< min re-arm delay minus one
-  // verify.epoch_batch.* ids, interned lazily on the first flush so default
-  // (threads = 0) runs keep byte-identical scrapes.
+  // verify.epoch_batch.* ids, interned lazily on the first flush so
+  // threads <= 1 runs keep byte-identical scrapes.
   obs::MetricId id_flushes_ = 0, id_jobs_ = 0, id_preloaded_ = 0;
   bool wave_ids_interned_ = false;
 };

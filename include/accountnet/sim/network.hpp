@@ -14,7 +14,6 @@
 
 #include "accountnet/obs/metrics.hpp"
 #include "accountnet/obs/span.hpp"
-#include "accountnet/obs/trace.hpp"
 #include "accountnet/sim/fault.hpp"
 #include "accountnet/sim/simulator.hpp"
 #include "accountnet/util/bytes.hpp"
@@ -107,13 +106,6 @@ class SimNetwork {
   /// registry must outlive the network (or the next set_metrics call).
   void set_metrics(obs::MetricsRegistry* registry, TypeNamer namer = {});
 
-  /// Attaches a trace ring: each send records a TraceEvent{t, type,
-  /// payload_size, "from->to"} stamped with the simulated send time. Pass
-  /// nullptr to detach. When a metrics registry is also attached, ring
-  /// occupancy and overflow surface as the "obs.trace.size" /
-  /// "obs.trace.dropped" gauges on every send.
-  void set_trace(obs::TraceRing* ring) { trace_ = ring; }
-
   /// Attaches a span tracer: every traced message (valid NetMessage::trace)
   /// gets a "net.<type>" hop span — child of the sending span, closed at
   /// delivery or drop — so cross-node span trees include fabric latency.
@@ -152,11 +144,7 @@ class SimNetwork {
   NetworkStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   TypeNamer namer_;
-  obs::TraceRing* trace_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  bool ring_gauges_ready_ = false;
-  obs::MetricId ring_size_id_ = 0;
-  obs::MetricId ring_dropped_id_ = 0;
   std::unordered_map<std::uint32_t, TypeMetrics> per_type_;
   std::optional<FaultInjector> faults_;
   std::unordered_map<std::uint64_t, obs::MetricId> fault_metrics_;

@@ -72,18 +72,19 @@ struct NetworkSim::HarnessNode {
   std::size_t coverage_count = 0;
 };
 
-/// One shuffle event captured by the wave-parallel drive (docs/PARALLELISM.md).
-/// The plan phase fills the sequential-prologue fields in event order; the
-/// build/exec phases (worker threads) only touch this event's two nodes plus
-/// the event's own slots; the merge phase folds scratch back in event order.
+/// One shuffle event (docs/PARALLELISM.md). The plan phase fills the
+/// sequential-prologue fields in event order; the build/exec phases (worker
+/// threads when parallel) only touch this event's two nodes plus the event's
+/// own slots; the merge phase folds scratch back in event order.
 struct NetworkSim::WaveEvent {
-  bool skip = false;       ///< prologue finished the event; only the re-arm remains
+  bool skip = true;        ///< prologue finished the event; only the re-arm remains
   std::size_t idx = 0;     ///< initiator
   std::size_t pidx = 0;    ///< responder (full events only)
   sim::TimePoint when = 0; ///< the event's original timestamp (re-arm base)
   core::PartnerChoice choice;
   core::Round rj = 0;
   bool verify = false;
+  std::uint64_t root = 0;  ///< root "shuffle" span, 0 when untraced
   // Build outputs.
   core::ShuffleOffer offer;
   bool attacked = false;
@@ -102,14 +103,14 @@ NetworkSim::NetworkSim(ExperimentConfig config)
   AN_ENSURE(config_.network_size >= 2);
   AN_ENSURE(config_.f >= config_.l && config_.l >= 1);
   if (config_.fault_plan) faults_.emplace(*config_.fault_plan);
+  in_wave_.assign(config_.network_size, 0);
   if (parallel()) {
     pool_ = std::make_unique<util::WorkerPool>(config_.threads);
     pooled_ = std::make_unique<crypto::PooledProvider>(*provider_, pool_.get());
-    in_wave_.assign(config_.network_size, 0);
-    // Smallest delay schedule_shuffle can emit, minus one: a wave started at
+    // Smallest delay rearm_shuffle_at can emit, minus one: a wave started at
     // T may batch events up to T + rearm_bound_ and still flush before any
     // deferred re-arm's absolute time, so schedule_at never lands in the
-    // past and re-arm ordering matches the sequential drive exactly.
+    // past and re-arm ordering matches a wave of one exactly.
     rearm_bound_ = std::max<sim::Duration>(
         0, static_cast<sim::Duration>(static_cast<double>(config_.shuffle_period) *
                                       (1.0 - config_.shuffle_jitter_frac)) -
@@ -251,7 +252,7 @@ void NetworkSim::write_metrics_json(const std::string& path) {
 void NetworkSim::launch_node(std::size_t idx) {
   // Bootstrap reads arbitrary peersets and schedules: the network must be
   // settled first (sequential ordering — the pending events all predate us).
-  if (parallel()) flush_wave();
+  flush_wave();
   HarnessNode& hn = *nodes_[idx];
   hn.alive = true;
   ++alive_count_;
@@ -283,7 +284,7 @@ void NetworkSim::launch_node(std::size_t idx) {
   ++joined_count_;
   group.insert(idx);
   update_coverage(hn);
-  schedule_shuffle(idx);
+  rearm_shuffle_at(idx, sim_.now());
 }
 
 OrderStatIndex& NetworkSim::bootstrap_group(const HarnessNode& node) {
@@ -292,175 +293,10 @@ OrderStatIndex& NetworkSim::bootstrap_group(const HarnessNode& node) {
   return bootstrap_groups_[apart ? 1 : 0];
 }
 
-void NetworkSim::schedule_shuffle(std::size_t idx) {
-  HarnessNode& hn = *nodes_[idx];
-  const double jitter = (hn.rng.uniform01() * 2.0 - 1.0) * config_.shuffle_jitter_frac;
-  const auto delay = static_cast<sim::Duration>(
-      static_cast<double>(config_.shuffle_period) * (1.0 + jitter));
-  if (parallel()) {
-    // plan_shuffle defers the re-arm to the wave barrier (same jitter draw,
-    // same absolute timestamp — see rearm_shuffle_at).
-    sim_.schedule(std::max<sim::Duration>(delay, 1), [this, idx] {
-      if (nodes_[idx]->alive) plan_shuffle(idx);
-    });
-    return;
-  }
-  sim_.schedule(std::max<sim::Duration>(delay, 1), [this, idx] {
-    if (nodes_[idx]->alive) {
-      do_shuffle(idx);
-      schedule_shuffle(idx);
-    }
-  });
-}
-
 std::size_t NetworkSim::index_of(const core::PeerId& peer) const {
   const auto it = addr_to_index_.find(peer.addr);
   AN_ENSURE_MSG(it != addr_to_index_.end(), "unknown peer address");
   return it->second;
-}
-
-void NetworkSim::do_shuffle(std::size_t idx) {
-  HarnessNode& hn = *nodes_[idx];
-  if (!hn.joined || hn.state->peerset().empty()) return;
-  ++stats_.shuffles_attempted;
-
-  const auto choice = core::choose_partner(*hn.state);
-  if (!choice) {
-    hn.state->skip_round();
-    return;
-  }
-  const std::size_t pidx = index_of(choice->partner);
-  HarnessNode& partner = *nodes_[pidx];
-
-  // Root span for the synchronous exchange; ended with an outcome tag on
-  // every exit path below.
-  std::uint64_t root = 0;
-  if (tracer_ != nullptr) {
-    root = tracer_->begin_span("shuffle", hn.state->self().addr, sim_.now(), {});
-    tracer_->attr(root, "partner", choice->partner.addr);
-    tracer_->attr(root, "round", std::to_string(hn.state->round()));
-  }
-  const auto end_root = [&](const char* outcome) {
-    if (root != 0) {
-      tracer_->attr(root, "outcome", outcome);
-      tracer_->end_span(root, sim_.now());
-    }
-  };
-
-  if (!partner.alive) {
-    ++stats_.dead_partner_hits;
-    end_root("dead_partner");
-    handle_dead_partner(idx, pidx);
-    return;
-  }
-  if (partner.quarantined.contains(hn.state->self().addr) ||
-      hn.quarantined.contains(partner.state->self().addr)) {
-    // A quarantined pair refuses contact in either direction (mirrors
-    // core::Node's inbound drop); the initiator burns the round.
-    ++stats_.byz_refused_quarantined;
-    end_root("refused_quarantined");
-    hn.state->skip_round();
-    return;
-  }
-  if (config_.malicious_mode == MaliciousMode::kSeparateOverlay &&
-      partner.malicious != hn.malicious) {
-    // Cross-coalition contact is refused; the initiator burns the round.
-    ++stats_.refused_cross_group;
-    end_root("refused_cross_group");
-    hn.state->skip_round();
-    return;
-  }
-  if (faults_) {
-    // Synchronous exchange: a drop on any of the four logical legs (or a
-    // crashed endpoint) fails the whole shuffle and the initiator burns the
-    // round. No retries here — core::Node models those.
-    const std::string& a = hn.state->self().addr;
-    const std::string& b = partner.state->self().addr;
-    const sim::TimePoint t = sim_.now();
-    const auto leg = [&](const std::string& from, const std::string& to,
-                         core::MsgType type) {
-      return faults_->decide(from, to, static_cast<std::uint32_t>(type), t).drop;
-    };
-    if (faults_->crashed(a, t) || faults_->crashed(b, t) ||
-        leg(a, b, core::MsgType::kRoundQuery) ||
-        leg(b, a, core::MsgType::kRoundReply) ||
-        leg(a, b, core::MsgType::kShuffleOffer) ||
-        leg(b, a, core::MsgType::kShuffleResponse)) {
-      ++stats_.fault_failures;
-      end_root("fault");
-      hn.state->skip_round();
-      return;
-    }
-  }
-
-  const core::Round rj = partner.state->round();
-  core::ShuffleOffer offer = core::make_offer(*hn.state, *choice, rj);
-  const bool attacked = hn.malicious && config_.adversary.any() &&
-                        apply_adversary(hn, offer, choice->partner);
-  if (attacked) ++stats_.byz_attacks;
-  history_samples_.add(static_cast<double>(offer.history_suffix.size()));
-
-  // Partner leg: verify + commit happen on the responder, so they get their
-  // own child span under the initiator's root.
-  std::uint64_t respond = 0;
-  obs::TraceContext root_ctx;
-  if (root != 0) {
-    root_ctx = tracer_->context(root);
-    respond = tracer_->begin_span("shuffle.respond", partner.state->self().addr,
-                                  sim_.now(), root_ctx);
-  }
-  const auto end_respond = [&](const char* outcome) {
-    if (respond != 0) {
-      tracer_->attr(respond, "outcome", outcome);
-      tracer_->end_span(respond, sim_.now());
-    }
-  };
-
-  const bool verify = rng_.chance(config_.verify_fraction);
-  if (verify) {
-    ++stats_.shuffles_verified;
-    if (const auto v = core::verify_offer(offer, *partner.state, rj, *partner.engine);
-        !v) {
-      if (attacked) {
-        // Detection: the responder caught the mutation and quarantines the
-        // initiator. Honest failures stay in verification_failures so the
-        // "MUST stay 0 with honest nodes" invariant keeps its teeth.
-        ++stats_.byz_detections;
-        quarantine(partner, hn.state->self(), stats_,
-                   respond != 0 ? tracer_->context(respond) : root_ctx);
-      } else {
-        ++stats_.verification_failures;
-      }
-      end_respond("verify_failed");
-      end_root("rejected");
-      hn.state->skip_round();
-      return;
-    }
-  }
-  const auto response = core::make_response_and_commit(*partner.state, offer);
-  end_respond("committed");
-  if (verify) {
-    if (const auto v = core::verify_response(response, *hn.state, offer, *hn.engine);
-        !v) {
-      ++stats_.verification_failures;
-      end_root("response_rejected");
-      hn.state->skip_round();
-      return;
-    }
-  }
-  core::apply_offer_outcome(*hn.state, offer, response);
-  end_root("completed");
-  ++stats_.shuffles_completed;
-  ++shuffle_delta_;
-
-  purge_zombies(hn);
-  purge_zombies(partner);
-  update_coverage(hn);
-  update_coverage(partner);
-  if (config_.track_shuffle_pairs) {
-    shuffle_pairs_[idx][pidx] = 1;
-    shuffle_pairs_[pidx][idx] = 1;
-  }
 }
 
 bool NetworkSim::apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
@@ -606,46 +442,43 @@ void NetworkSim::update_coverage(HarnessNode& node) {
   }
 }
 
-// --- Wave-parallel drive (threads >= 1) --------------------------------------
+// --- Shuffle drive -----------------------------------------------------------
 //
-// plan_shuffle runs at the event's own timestamp, in event order, and performs
-// everything the sequential do_shuffle would have done up to (and including)
-// the global-RNG draw: partner selection, the refusal/fault legs, plan-time
-// stats. The expensive remainder — offer build + adversary mutation, offer
-// verification, commit — is deferred into wave_ and executed in parallel at
-// flush time over PROVABLY disjoint node pairs (any plan whose initiator or
-// partner overlaps a pending event flushes first). Cache misses gathered from
-// every planned verification resolve through ONE global verify_batch on the
-// shared worker pool. See docs/PARALLELISM.md for the bit-identity argument.
+// Every shuffle timer runs plan_shuffle at the event's own timestamp, in event
+// order: partner selection, the refusal/fault legs, plan-time stats and the
+// global-RNG draw. The expensive remainder — offer build + adversary mutation,
+// offer verification, commit — runs in build_event/exec_event, and
+// merge_event folds the results back and re-arms the timer. At threads <= 1
+// that happens at once, as a wave of one. At threads >= 2 the remainder is
+// deferred into wave_ and executed in parallel at flush time over PROVABLY
+// disjoint node pairs (any plan whose initiator or partner overlaps a pending
+// event flushes first); cache misses gathered from every planned
+// verification resolve through ONE global verify_batch on the shared worker
+// pool. See docs/PARALLELISM.md for the bit-identity argument.
 
 void NetworkSim::plan_shuffle(std::size_t idx) {
   if (in_wave_[idx] != 0) flush_wave();
+  // One heap event per planned shuffle when parallel (the wave keeps it);
+  // otherwise the same object serves every event.
+  if (!next_) next_ = std::make_unique<WaveEvent>();
+  WaveEvent& ev = *next_;
+  ev.skip = true;
+  ev.idx = idx;
+  ev.when = sim_.now();
+  ev.root = 0;
+  ev.scratch = HarnessStats{};
   HarnessNode& hn = *nodes_[idx];
-  const sim::TimePoint when = sim_.now();
-  const auto push = [&](std::unique_ptr<WaveEvent> ev) {
-    wave_.push_back(std::move(ev));
-    if (wave_.size() == 1) wave_deadline_ = when + rearm_bound_;
-  };
-  const auto push_skip = [&] {
-    auto ev = std::make_unique<WaveEvent>();
-    ev->skip = true;
-    ev->idx = idx;
-    ev->when = when;
-    // No conflict registration: the prologue already applied every state
-    // effect, so build/exec ignore the event and only the re-arm remains.
-    push(std::move(ev));
-  };
 
   if (!hn.joined || hn.state->peerset().empty()) {
-    push_skip();
+    dispatch_event();
     return;
   }
   ++stats_.shuffles_attempted;
 
-  const auto choice = core::choose_partner(*hn.state);
+  auto choice = core::choose_partner(*hn.state);
   if (!choice) {
     hn.state->skip_round();
-    push_skip();
+    dispatch_event();
     return;
   }
   const std::size_t pidx = index_of(choice->partner);
@@ -655,33 +488,49 @@ void NetworkSim::plan_shuffle(std::size_t idx) {
   if (in_wave_[pidx] != 0) flush_wave();
   HarnessNode& partner = *nodes_[pidx];
 
+  // Root span for the synchronous exchange; ended with an outcome tag on
+  // every exit path (here for refusals, in exec_event otherwise).
+  if (tracer_ != nullptr) {
+    ev.root = tracer_->begin_span("shuffle", hn.state->self().addr, sim_.now(), {});
+    tracer_->attr(ev.root, "partner", choice->partner.addr);
+    tracer_->attr(ev.root, "round", std::to_string(hn.state->round()));
+  }
+  // A refused exchange: the initiator burns the round; only the re-arm remains.
+  const auto refuse = [&](const char* outcome) {
+    close_span(ev.root, outcome);
+    hn.state->skip_round();
+    dispatch_event();
+  };
+
   if (!partner.alive) {
     // The leave fan-out touches the initiator's whole peerset; settle the
-    // network first, then run the sequential path inline.
+    // network first.
     flush_wave();
     ++stats_.dead_partner_hits;
+    close_span(ev.root, "dead_partner");
     handle_dead_partner(idx, pidx);
-    push_skip();
+    dispatch_event();
     return;
   }
   if (partner.quarantined.contains(hn.state->self().addr) ||
       hn.quarantined.contains(partner.state->self().addr)) {
+    // A quarantined pair refuses contact in either direction (mirrors
+    // core::Node's inbound drop).
     ++stats_.byz_refused_quarantined;
-    hn.state->skip_round();
-    push_skip();
+    refuse("refused_quarantined");
     return;
   }
   if (config_.malicious_mode == MaliciousMode::kSeparateOverlay &&
       partner.malicious != hn.malicious) {
     ++stats_.refused_cross_group;
-    hn.state->skip_round();
-    push_skip();
+    refuse("refused_cross_group");
     return;
   }
   if (faults_) {
-    // Same legs, same FaultInjector RNG draws, same event order as the
-    // sequential path (the injector owns its stream, so plan order IS its
-    // sequential draw order).
+    // Synchronous exchange: a drop on any of the four logical legs (or a
+    // crashed endpoint) fails the whole shuffle. No retries here —
+    // core::Node models those. The injector owns its RNG stream, so plan
+    // order IS its sequential draw order.
     const std::string& a = hn.state->self().addr;
     const std::string& b = partner.state->self().addr;
     const sim::TimePoint t = sim_.now();
@@ -695,27 +544,132 @@ void NetworkSim::plan_shuffle(std::size_t idx) {
         leg(a, b, core::MsgType::kShuffleOffer) ||
         leg(b, a, core::MsgType::kShuffleResponse)) {
       ++stats_.fault_failures;
-      hn.state->skip_round();
-      push_skip();
+      refuse("fault");
       return;
     }
   }
 
-  // Full path. The verify draw moves ahead of the offer build relative to
-  // do_shuffle, which is safe: nothing between them consumes rng_ (make_offer
-  // and apply_adversary only touch the node's own signer and rng).
-  auto ev = std::make_unique<WaveEvent>();
-  ev->idx = idx;
-  ev->pidx = pidx;
-  ev->when = when;
-  ev->choice = *choice;
-  ev->rj = partner.state->round();
-  ev->verify = rng_.chance(config_.verify_fraction);
-  if (ev->verify) ++stats_.shuffles_verified;
-  in_wave_[idx] = 1;
-  in_wave_[pidx] = 1;
-  push(std::move(ev));
-  if (wave_.size() >= kMaxWave) flush_wave();
+  // Full path. The verify draw comes ahead of the offer build, which is
+  // safe: nothing in build consumes rng_ (make_offer and apply_adversary
+  // only touch the node's own signer and rng).
+  ev.skip = false;
+  ev.pidx = pidx;
+  ev.choice = std::move(*choice);
+  ev.rj = partner.state->round();
+  ev.verify = rng_.chance(config_.verify_fraction);
+  if (ev.verify) ++stats_.shuffles_verified;
+  dispatch_event();
+}
+
+void NetworkSim::dispatch_event() {
+  WaveEvent& ev = *next_;
+  if (!parallel()) {
+    // A wave of one, run at once on this thread: no gather, no global
+    // batch, no preload — the engine verifies on its own.
+    if (!ev.skip) {
+      build_event(ev, false);
+      exec_event(ev);
+    }
+    merge_event(ev);
+    return;
+  }
+  const bool full = !ev.skip;
+  if (full) {
+    // Skip events register no conflict: the prologue already applied every
+    // state effect.
+    in_wave_[ev.idx] = 1;
+    in_wave_[ev.pidx] = 1;
+  }
+  if (wave_.empty()) wave_deadline_ = ev.when + rearm_bound_;
+  wave_.push_back(std::move(next_));
+  if (full && wave_.size() >= kMaxWave) flush_wave();
+}
+
+void NetworkSim::build_event(WaveEvent& ev, bool gather) {
+  HarnessNode& hn = *nodes_[ev.idx];
+  ev.offer = core::make_offer(*hn.state, ev.choice, ev.rj);
+  ev.attacked = hn.malicious && config_.adversary.any() &&
+                apply_adversary(hn, ev.offer, ev.choice.partner);
+  if (ev.attacked) ++ev.scratch.byz_attacks;
+  ev.history_sample = static_cast<double>(ev.offer.history_suffix.size());
+  if (gather && ev.verify) {
+    const HarnessNode& partner = *nodes_[ev.pidx];
+    core::gather_offer_checks(ev.offer, *partner.state, *partner.engine, ev.sink);
+  }
+}
+
+void NetworkSim::exec_event(WaveEvent& ev) {
+  HarnessNode& hn = *nodes_[ev.idx];
+  HarnessNode& partner = *nodes_[ev.pidx];
+  // Partner leg: verify + commit happen on the responder, so they get their
+  // own child span under the initiator's root.
+  std::uint64_t respond = 0;
+  if (ev.root != 0) {
+    respond = tracer_->begin_span("shuffle.respond", partner.state->self().addr,
+                                  sim_.now(), tracer_->context(ev.root));
+  }
+  if (ev.verify) {
+    if (const auto v = core::verify_offer(ev.offer, *partner.state, ev.rj, *partner.engine);
+        !v) {
+      if (ev.attacked) {
+        // Detection: the responder caught the mutation and quarantines the
+        // initiator. Honest failures stay in verification_failures so the
+        // "MUST stay 0 with honest nodes" invariant keeps its teeth.
+        ++ev.scratch.byz_detections;
+        quarantine(partner, hn.state->self(), ev.scratch,
+                   respond != 0 ? tracer_->context(respond) : obs::TraceContext{});
+      } else {
+        ++ev.scratch.verification_failures;
+      }
+      close_span(respond, "verify_failed");
+      close_span(ev.root, "rejected");
+      hn.state->skip_round();
+      return;
+    }
+  }
+  const auto response = core::make_response_and_commit(*partner.state, ev.offer);
+  close_span(respond, "committed");
+  if (ev.verify) {
+    if (const auto v = core::verify_response(response, *hn.state, ev.offer, *hn.engine);
+        !v) {
+      ++ev.scratch.verification_failures;
+      close_span(ev.root, "response_rejected");
+      hn.state->skip_round();
+      return;
+    }
+  }
+  core::apply_offer_outcome(*hn.state, ev.offer, response);
+  close_span(ev.root, "completed");
+  ++ev.scratch.shuffles_completed;
+  purge_zombies(hn);
+  purge_zombies(partner);
+  update_coverage(hn);
+  update_coverage(partner);
+  if (config_.track_shuffle_pairs) {
+    // Rows idx and pidx belong to this event alone (node disjointness).
+    shuffle_pairs_[ev.idx][ev.pidx] = 1;
+    shuffle_pairs_[ev.pidx][ev.idx] = 1;
+  }
+}
+
+void NetworkSim::merge_event(WaveEvent& ev) {
+  if (!ev.skip) {
+    history_samples_.add(ev.history_sample);
+    stats_.shuffles_completed += ev.scratch.shuffles_completed;
+    shuffle_delta_ += ev.scratch.shuffles_completed;
+    stats_.verification_failures += ev.scratch.verification_failures;
+    stats_.leave_reports += ev.scratch.leave_reports;
+    stats_.byz_attacks += ev.scratch.byz_attacks;
+    stats_.byz_detections += ev.scratch.byz_detections;
+    stats_.byz_quarantines += ev.scratch.byz_quarantines;
+  }
+  rearm_shuffle_at(ev.idx, ev.when);
+}
+
+void NetworkSim::close_span(std::uint64_t span, const char* outcome) {
+  if (span == 0) return;
+  tracer_->attr(span, "outcome", outcome);
+  tracer_->end_span(span, sim_.now());
 }
 
 void NetworkSim::flush_wave() {
@@ -724,21 +678,9 @@ void NetworkSim::flush_wave() {
   // Phase 1 (parallel): build offers, apply adversary mutations, gather every
   // engine cache miss the planned verifications will need. Each item touches
   // only its own event's two nodes (disjoint by construction).
-  const auto build = [this](std::size_t i) {
-    WaveEvent& ev = *wave_[i];
-    if (ev.skip) return;
-    HarnessNode& hn = *nodes_[ev.idx];
-    HarnessNode& partner = *nodes_[ev.pidx];
-    ev.offer = core::make_offer(*hn.state, ev.choice, ev.rj);
-    ev.attacked = hn.malicious && config_.adversary.any() &&
-                  apply_adversary(hn, ev.offer, ev.choice.partner);
-    if (ev.attacked) ++ev.scratch.byz_attacks;
-    ev.history_sample = static_cast<double>(ev.offer.history_suffix.size());
-    if (ev.verify) {
-      core::gather_offer_checks(ev.offer, *partner.state, *partner.engine, ev.sink);
-    }
-  };
-  pool_->run(wave_.size(), build);
+  pool_->run(wave_.size(), [this](std::size_t i) {
+    if (!wave_[i]->skip) build_event(*wave_[i], true);
+  });
 
   // Phase 2 (single global batch): every cache miss of the wave, resolved in
   // one verify_batch fanned across the persistent pool.
@@ -754,83 +696,35 @@ void NetworkSim::flush_wave() {
   // Phase 3 (parallel): preload each responder engine with its slice of the
   // verdicts, then replay the synchronous exchange cache-hot. Same node
   // disjointness as phase 1; counter bumps go to the per-event scratch.
-  const auto exec = [this, &jobs, &verdicts](std::size_t i) {
+  pool_->run(wave_.size(), [this, &jobs, &verdicts](std::size_t i) {
     WaveEvent& ev = *wave_[i];
     if (ev.skip) return;
-    HarnessNode& hn = *nodes_[ev.idx];
-    HarnessNode& partner = *nodes_[ev.pidx];
     if (ev.job_count > 0) {
-      ev.preloaded = partner.engine->preload(
+      ev.preloaded = nodes_[ev.pidx]->engine->preload(
           std::span<const crypto::VerifyJob>(jobs).subspan(ev.job_off, ev.job_count),
           std::span<const crypto::VerifyVerdict>(verdicts).subspan(ev.job_off,
                                                                    ev.job_count));
     }
-    if (ev.verify) {
-      if (const auto v =
-              core::verify_offer(ev.offer, *partner.state, ev.rj, *partner.engine);
-          !v) {
-        if (ev.attacked) {
-          ++ev.scratch.byz_detections;
-          quarantine(partner, hn.state->self(), ev.scratch);
-        } else {
-          ++ev.scratch.verification_failures;
-        }
-        hn.state->skip_round();
-        return;
-      }
-    }
-    const auto response = core::make_response_and_commit(*partner.state, ev.offer);
-    if (ev.verify) {
-      if (const auto v =
-              core::verify_response(response, *hn.state, ev.offer, *hn.engine);
-          !v) {
-        ++ev.scratch.verification_failures;
-        hn.state->skip_round();
-        return;
-      }
-    }
-    core::apply_offer_outcome(*hn.state, ev.offer, response);
-    ++ev.scratch.shuffles_completed;
-    purge_zombies(hn);
-    purge_zombies(partner);
-    update_coverage(hn);
-    update_coverage(partner);
-    if (config_.track_shuffle_pairs) {
-      // Rows idx and pidx belong to this event alone (node disjointness).
-      shuffle_pairs_[ev.idx][ev.pidx] = 1;
-      shuffle_pairs_[ev.pidx][ev.idx] = 1;
-    }
-  };
-  pool_->run(wave_.size(), exec);
+    exec_event(ev);
+  });
 
   // Phase 4 (sequential merge, event order): fold scratch stats and history
   // samples back, then emit every deferred re-arm. Event order makes the
   // float accumulation, the per-node jitter draws and the re-arm sequence
-  // numbers identical to the sequential drive.
+  // numbers identical to a wave of one.
   std::uint64_t preloaded_total = 0;
   for (auto& evp : wave_) {
     WaveEvent& ev = *evp;
     in_wave_[ev.idx] = 0;
-    in_wave_[ev.pidx] = 0;
-    if (!ev.skip) {
-      history_samples_.add(ev.history_sample);
-      stats_.shuffles_completed += ev.scratch.shuffles_completed;
-      shuffle_delta_ += ev.scratch.shuffles_completed;
-      stats_.shuffles_verified += ev.scratch.shuffles_verified;
-      stats_.verification_failures += ev.scratch.verification_failures;
-      stats_.leave_reports += ev.scratch.leave_reports;
-      stats_.byz_attacks += ev.scratch.byz_attacks;
-      stats_.byz_detections += ev.scratch.byz_detections;
-      stats_.byz_quarantines += ev.scratch.byz_quarantines;
-      preloaded_total += ev.preloaded;
-    }
-    rearm_shuffle_at(ev.idx, ev.when);
+    if (!ev.skip) in_wave_[ev.pidx] = 0;
+    preloaded_total += ev.preloaded;
+    merge_event(ev);
   }
   const std::uint64_t jobs_total = jobs.size();
   wave_.clear();
 
-  // Interned on the first flush only, so sequential-mode scrapes never see
-  // the series (the byz.*/durability lazy-interning rule).
+  // Interned on the first flush only, so threads <= 1 scrapes never see the
+  // series (the byz.*/durability lazy-interning rule).
   if (!wave_ids_interned_) {
     wave_ids_interned_ = true;
     id_flushes_ = metrics_.counter("verify.epoch_batch.flushes");
@@ -865,9 +759,9 @@ void NetworkSim::drive_until(sim::TimePoint deadline) {
 }
 
 void NetworkSim::rearm_shuffle_at(std::size_t idx, sim::TimePoint event_when) {
-  // Identical jitter draw and identical absolute timestamp to the sequential
-  // schedule_shuffle call that would have run at event_when; the
-  // wave_deadline_ rule guarantees event_when + delay is still in the future.
+  // A deferred re-arm keeps the absolute timestamp it would have had at
+  // event_when; the wave_deadline_ rule guarantees that is still in the
+  // future.
   HarnessNode& hn = *nodes_[idx];
   const double jitter = (hn.rng.uniform01() * 2.0 - 1.0) * config_.shuffle_jitter_frac;
   const auto delay = static_cast<sim::Duration>(
@@ -883,28 +777,18 @@ void NetworkSim::run(std::size_t rounds,
     // Tracing and metric timing are per-event instrumentation on the hot
     // path; waves run events on worker threads, where both would race.
     AN_ENSURE_MSG(tracer_ == nullptr,
-                  "wave-parallel drive (threads >= 1) is incompatible with tracing");
+                  "wave-parallel drive (threads >= 2) is incompatible with tracing");
     AN_ENSURE_MSG(!metrics_.timing_enabled(),
-                  "wave-parallel drive (threads >= 1) is incompatible with timing");
+                  "wave-parallel drive (threads >= 2) is incompatible with timing");
   }
   if (!run_started_) {
     run_started_ = true;
-    if (parallel()) {
-      drive_until(0);
-    } else {
-      sim_.run_until(0);
-    }
+    drive_until(0);
     if (on_analysis) on_analysis(0);
   }
   for (std::size_t i = 0; i < rounds; ++i) {
     ++rounds_completed_;
-    const auto deadline = static_cast<sim::TimePoint>(rounds_completed_) *
-                          config_.analysis_period;
-    if (parallel()) {
-      drive_until(deadline);
-    } else {
-      sim_.run_until(deadline);
-    }
+    drive_until(static_cast<sim::TimePoint>(rounds_completed_) * config_.analysis_period);
     if (on_analysis) on_analysis(rounds_completed_);
   }
 }
@@ -924,7 +808,7 @@ void NetworkSim::schedule_churn(std::size_t count, sim::TimePoint start,
     sim_.schedule_at(when, [this, victim] {
       // Pending wave events may involve the victim; settle them first (they
       // all predate this event, so this is the sequential order).
-      if (parallel()) flush_wave();
+      flush_wave();
       HarnessNode& hn = *nodes_[victim];
       if (!hn.alive) return;
       hn.alive = false;
@@ -943,10 +827,10 @@ void NetworkSim::schedule_crash_restart(std::size_t idx, sim::TimePoint crash_at
   AN_ENSURE_MSG(restart_at > crash_at, "restart must follow the crash");
   AN_ENSURE(idx < nodes_.size());
   sim_.schedule_at(crash_at, [this, idx] {
-    if (parallel()) flush_wave();  // see schedule_churn
+    flush_wave();  // see schedule_churn
     HarnessNode& hn = *nodes_[idx];
     if (!hn.alive) return;
-    hn.alive = false;  // also terminates the schedule_shuffle timer chain
+    hn.alive = false;  // also terminates the shuffle timer chain
     --alive_count_;
     if (hn.joined) {
       --joined_count_;
@@ -967,7 +851,7 @@ void NetworkSim::schedule_crash_restart(std::size_t idx, sim::TimePoint crash_at
 }
 
 void NetworkSim::restart_node(std::size_t idx) {
-  if (parallel()) flush_wave();  // see schedule_churn
+  flush_wave();  // see schedule_churn
   HarnessNode& hn = *nodes_[idx];
   if (hn.alive || hn.state != nullptr) return;  // the crash never fired
   // Reopen the data dir: a fresh journal over the surviving store, replayed
@@ -993,7 +877,7 @@ void NetworkSim::restart_node(std::size_t idx) {
   ++recovery_restarts_;
   recovery_entries_replayed_ += rec.entries.size();
   update_coverage(hn);
-  schedule_shuffle(idx);
+  rearm_shuffle_at(idx, sim_.now());
 }
 
 std::size_t NetworkSim::malicious_alive_count() const {

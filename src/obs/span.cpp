@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <unordered_set>
 
@@ -20,6 +21,17 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// Opens a dump file for writing, creating a missing parent directory first,
+/// so a run whose output directory does not exist yet still keeps its trace.
+std::FILE* open_dump(const std::string& path, const char* what) {
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  std::error_code ec;  // a failure surfaces as the fopen error below
+  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  AN_ENSURE_MSG(f != nullptr, std::string("cannot open ") + what + ": " + path);
+  return f;
 }
 
 std::string hex16(std::uint64_t v) {
@@ -108,8 +120,7 @@ std::string span_to_json_line(const Span& s) {
 }
 
 void write_spans_jsonl(const std::vector<Span>& spans, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  AN_ENSURE_MSG(f != nullptr, "cannot open span dump file: " + path);
+  std::FILE* f = open_dump(path, "span dump file");
   for (const Span& s : spans) {
     const std::string line = span_to_json_line(s);
     std::fwrite(line.data(), 1, line.size(), f);
@@ -322,8 +333,7 @@ void PerfettoSink::add_all(const std::vector<Span>& spans) {
 }
 
 void PerfettoSink::flush() {
-  std::FILE* f = std::fopen(path_.c_str(), "w");
-  AN_ENSURE_MSG(f != nullptr, "cannot open perfetto trace file: " + path_);
+  std::FILE* f = open_dump(path_, "perfetto trace file");
   const std::string doc = perfetto_json(spans_);
   std::fwrite(doc.data(), 1, doc.size(), f);
   std::fclose(f);

@@ -2,8 +2,12 @@
 // neighborhood statistics matching the analysis, churn, malicious modes.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "accountnet/analysis/bounds.hpp"
+#include "accountnet/crypto/sha256.hpp"
 #include "accountnet/harness/network_sim.hpp"
+#include "accountnet/util/bytes.hpp"
 
 namespace accountnet::harness {
 namespace {
@@ -280,6 +284,50 @@ TEST(NetworkSim, TracerDoesNotPerturbHarnessOutcomes) {
   EXPECT_EQ(plain.stats().verification_failures,
             traced.stats().verification_failures);
   EXPECT_EQ(plain.joined_count(), traced.joined_count());
+}
+
+
+// The traced shuffle, byte for byte: one seeded run that reaches the root
+// outcomes completed, rejected (with its accuse.quarantine span),
+// dead_partner, refused_quarantined and fault, hashed as the span JSONL that
+// write_spans_jsonl would dump. The digest was captured from the harness
+// that still had a separate sequential shuffle body. refused_cross_group is
+// not reachable here: bootstrap groups keep the two coalitions apart, so no
+// peerset ever holds a cross-group partner.
+TEST(NetworkSim, TracedSpanDumpIsPinned) {
+  auto config = small_config();
+  config.network_size = 60;
+  config.lane_size = 20;
+  config.pm = 0.3;
+  config.adversary.bias_sample = true;
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  sim::LinkFault loss;
+  loss.loss = 0.02;
+  plan.links.push_back(loss);
+  config.fault_plan = plan;
+  obs::Tracer tracer(5);
+  NetworkSim sim(config);
+  sim.set_tracer(&tracer);
+  sim.schedule_churn(6, sim::seconds(20), sim::seconds(20));
+  sim.run(10, nullptr);
+
+  std::map<std::string, int> roots;
+  int quarantines = 0;
+  std::string dump;
+  for (const obs::Span& s : tracer.spans()) {
+    if (s.name == "shuffle") ++roots[*s.find_attr("outcome")];
+    if (s.name == "accuse.quarantine") ++quarantines;
+    dump += obs::span_to_json_line(s) + "\n";
+  }
+  for (const char* outcome :
+       {"completed", "rejected", "dead_partner", "refused_quarantined", "fault"}) {
+    EXPECT_GT(roots[outcome], 0) << outcome;
+  }
+  EXPECT_EQ(quarantines, roots["rejected"]);
+  EXPECT_EQ(tracer.size(), 444u);
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(bytes_of(dump))),
+            "003953455cacff3c8fd09eb7ba066de2c182f84b89861a8010b26fca5aed5c4e");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -138,6 +139,27 @@ TEST(SpanJsonl, FileRoundTrip) {
   const auto loaded = load_spans_jsonl(path);
   EXPECT_EQ(loaded, t.spans());
   std::remove(path.c_str());
+}
+
+// A dump aimed at a directory that does not exist yet (a fresh --out DIR)
+// creates it instead of aborting after the run.
+TEST(SpanJsonl, WritesIntoMissingNestedDirectory) {
+  Tracer t(3);
+  t.end_span(t.begin_span("shuffle", "n0", 1), 2);
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "span_missing_dir";
+  std::filesystem::remove_all(root);
+  const std::string base = (root / "a" / "b" / "run").string();
+  write_spans_jsonl(t.spans(), base + ".spans.jsonl");
+  EXPECT_EQ(load_spans_jsonl(base + ".spans.jsonl"), t.spans());
+
+  std::filesystem::remove_all(root);
+  {
+    PerfettoSink perfetto(base + ".perfetto.json");
+    perfetto.add_all(t.spans());
+  }
+  EXPECT_TRUE(std::filesystem::exists(base + ".perfetto.json"));
+  std::filesystem::remove_all(root);
 }
 
 TEST(Perfetto, ExportsProcessMetadataAndCompleteEvents) {
