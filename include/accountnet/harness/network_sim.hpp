@@ -39,9 +39,6 @@
 namespace accountnet::util {
 class WorkerPool;
 }
-namespace accountnet::crypto {
-class PooledProvider;
-}
 
 namespace accountnet::harness {
 
@@ -121,17 +118,15 @@ struct ExperimentConfig {
                                                 .history_memo_capacity = 64};
 
   /// Worker threads for the shuffle drive (docs/PARALLELISM.md). Every
-  /// shuffle event runs the same plan -> build -> exec -> merge body.
-  /// 0 and 1 (the default is 0) run each event at once on the calling
-  /// thread, as a wave of one: the engine verifies on its own, with no
-  /// gather, global batch or preload. N >= 2 batches conflict-free runs of
-  /// planned events into waves executed on a WorkerPool of N threads and
-  /// resolves every engine cache miss of a wave through ONE global
-  /// CryptoProvider::verify_batch — with results (digests, stats, per-node
-  /// protocol state) bit-identical to threads = 0 at every N. Only engine
-  /// cache hit/miss/eviction *counters* may differ (waves prefetch
-  /// speculatively); verdicts never do. N >= 2 is incompatible with
-  /// set_tracer() and metrics timing.
+  /// shuffle event runs the same plan -> build -> exec -> merge body, and
+  /// the responder's engine always verifies the offer itself. 0 and 1 (the
+  /// default is 0) run each event at once on the calling thread, as a wave
+  /// of one. N >= 2 batches conflict-free runs of planned events into waves;
+  /// each wave's build -> exec runs in one pass on a WorkerPool of N
+  /// threads, and the merge follows in event order. Results (digests, stats,
+  /// per-node protocol state, every scraped metric) are bit-identical to
+  /// threads = 0 at every N. N >= 2 is incompatible with set_tracer() and
+  /// metrics timing.
   std::size_t threads = 0;
 };
 
@@ -288,7 +283,23 @@ class NetworkSim {
 
  private:
   struct HarnessNode;
-  struct WaveEvent;
+  /// One shuffle event (docs/PARALLELISM.md). The plan phase fills the
+  /// sequential-prologue fields in event order; the exec phase (a pool worker
+  /// when parallel) only touches this event's two nodes plus the event's own
+  /// slots; the merge phase folds those slots back in event order.
+  struct WaveEvent {
+    bool skip = true;        ///< prologue finished the event; only the re-arm remains
+    std::size_t idx = 0;     ///< initiator
+    std::size_t pidx = 0;    ///< responder (full events only)
+    sim::TimePoint when = 0; ///< the event's original timestamp (re-arm base)
+    core::PartnerChoice choice;
+    core::Round rj = 0;
+    bool verify = false;
+    std::uint64_t root = 0;  ///< root "shuffle" span, 0 when untraced
+    // Exec outputs, merged into the run at the barrier in event order.
+    double history_sample = 0.0;
+    HarnessStats scratch;
+  };
 
   void launch_node(std::size_t idx);
   void restart_node(std::size_t idx);
@@ -321,20 +332,18 @@ class NetworkSim {
   /// The planned event `next_`: run at once as a wave of one, or (parallel)
   /// appended to wave_.
   void dispatch_event();
-  /// Offer build + adversary mutation; with `gather`, also collects the
-  /// responder engine's cache misses into the event's sink.
-  void build_event(WaveEvent& ev, bool gather);
-  /// Verify, commit and apply one built event on its two nodes only.
+  /// The one event body, inline and on the pool: builds the offer (plus any
+  /// adversary mutation), then verifies, commits and applies it, touching
+  /// only the event's two nodes and its own slots. No-op for skip events.
   void exec_event(WaveEvent& ev);
   /// Folds the event's scratch stats and history sample into the run, then
   /// re-arms its initiator. Runs in event order.
   void merge_event(WaveEvent& ev);
   /// Tags `span` with its outcome and ends it; no-op when span == 0.
   void close_span(std::uint64_t span, const char* outcome);
-  /// Executes the pending wave: build offers + gather engine cache misses
-  /// (parallel) -> one global verify_batch -> preload verdicts -> exec
-  /// verify/commit (parallel) -> merge stats/samples/re-arms (event order).
-  /// No-op when the wave is empty.
+  /// Executes the pending wave: one pool pass of exec_event (parallel),
+  /// then merge stats/samples/re-arms (event order). No-op when the wave is
+  /// empty.
   void flush_wave();
   /// Steps events one by one so a wave can be flushed BEFORE simulated time
   /// passes the earliest possible re-arm of a planned event (the
@@ -370,19 +379,13 @@ class NetworkSim {
   std::uint64_t recovery_entries_replayed_ = 0;
   std::vector<std::vector<std::uint8_t>> shuffle_pairs_;  // optional heatmap
 
-  // Shuffle drive state. The pool, the pooled provider and wave_ are used
-  // only when parallel().
+  // Shuffle drive state. The pool and wave_ are used only when parallel().
   std::unique_ptr<util::WorkerPool> pool_;
-  std::unique_ptr<crypto::PooledProvider> pooled_;
-  std::unique_ptr<WaveEvent> next_;    ///< the event plan_shuffle is filling
-  std::vector<std::unique_ptr<WaveEvent>> wave_;
+  WaveEvent next_;                     ///< the event plan_shuffle is filling
+  std::vector<WaveEvent> wave_;        ///< pending events; capacity is reused
   std::vector<std::uint8_t> in_wave_;  ///< per-node: touched by a pending event
   sim::TimePoint wave_deadline_ = 0;   ///< latest safe event time before flush
   sim::Duration rearm_bound_ = 0;      ///< min re-arm delay minus one
-  // verify.epoch_batch.* ids, interned lazily on the first flush so
-  // threads <= 1 runs keep byte-identical scrapes.
-  obs::MetricId id_flushes_ = 0, id_jobs_ = 0, id_preloaded_ = 0;
-  bool wave_ids_interned_ = false;
 };
 
 }  // namespace accountnet::harness

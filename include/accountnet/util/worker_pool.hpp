@@ -1,10 +1,7 @@
-// Persistent worker-thread pool for the parallel simulation paths.
-//
-// One pool is created per parallel run (sharded scheduler epochs, harness
-// wave execution, pooled crypto batches) and reused across every barrier, so
-// the per-epoch cost is a condition-variable wake instead of thread spawns
-// (crypto::RealCryptoProvider::verify_batch historically spawned fresh
-// threads per call; see crypto/pooled.hpp for the pool-backed decorator).
+// Persistent worker-thread pool. The harness's wave drive
+// (harness/network_sim.hpp, threads >= 2) creates one per run and reuses it
+// for every wave, so a wave costs one condition-variable wake instead of
+// thread spawns.
 //
 // Determinism contract: run(n, fn) invokes fn(i) exactly once for every
 // i < n and returns only after all calls finished (acquire/release on the

@@ -448,150 +448,6 @@ VerifyResult VerificationEngine::verify_one(const SamplerBackend& backend,
                        {claimed});
 }
 
-void GatherSink::add_sig(const crypto::PublicKeyBytes& pk, Bytes msg, BytesView sig) {
-  owned.push_back(std::move(msg));
-  const Bytes& m = owned.back();
-  crypto::VerifyJob j;
-  j.kind = crypto::VerifyJob::Kind::kSignature;
-  j.pk = pk;
-  j.msg = BytesView(m.data(), m.size());
-  j.sig = sig;
-  jobs.push_back(j);
-}
-
-void GatherSink::add_vrf(const crypto::PublicKeyBytes& pk, Bytes alpha, BytesView proof) {
-  owned.push_back(std::move(alpha));
-  const Bytes& a = owned.back();
-  crypto::VerifyJob j;
-  j.kind = crypto::VerifyJob::Kind::kVrf;
-  j.pk = pk;
-  j.msg = BytesView(a.data(), a.size());
-  j.sig = proof;
-  jobs.push_back(j);
-}
-
-void VerificationEngine::gather_sig(GatherSink& sink, const crypto::PublicKeyBytes& pk,
-                                    Bytes msg, BytesView sig) const {
-  if (!config_.enable_cache) return;
-  const CacheKey key = sig_key(pk, BytesView(msg.data(), msg.size()), sig);
-  if (sig_cache_.find(key) != nullptr) return;
-  sink.add_sig(pk, std::move(msg), sig);
-}
-
-void VerificationEngine::gather_vrf(GatherSink& sink, const crypto::PublicKeyBytes& pk,
-                                    Bytes alpha, BytesView proof) const {
-  if (!config_.enable_cache) return;
-  const CacheKey key = vrf_key(pk, BytesView(alpha.data(), alpha.size()), proof);
-  if (vrf_cache_.find(key) != nullptr) return;
-  sink.add_vrf(pk, std::move(alpha), proof);
-}
-
-void VerificationEngine::gather_history(GatherSink& sink,
-                                        const std::vector<HistoryEntry>& suffix,
-                                        const PeerId& owner,
-                                        const Peerset& claimed) const {
-  if (!config_.enable_cache) return;
-  const std::size_t n = suffix.size();
-  std::vector<std::array<std::uint8_t, 32>> chain(n + 1);
-  chain[0] = {};
-  for (std::size_t i = 0; i < n; ++i) {
-    chain[i + 1] = chain_step(chain[i], entry_digest(suffix[i]));
-  }
-  const PartnerMemo* memo = memos_.find(memo_key(owner));
-  std::size_t begin = 0;
-  std::optional<Round> prev;
-  if (memo != nullptr && memo->entry_count == n && memo->chain == chain[n] &&
-      memo->peerset == claimed) {
-    return;  // exact memo hit: verify_history will pass without any crypto
-  }
-  if (memo != nullptr && memo->entry_count > 0 && memo->entry_count < n &&
-      memo->chain == chain[memo->entry_count]) {
-    begin = memo->entry_count;
-    prev = memo->last_round;
-  }
-  sink.plans.push_back(plan_history_checks(suffix, begin, prev, owner));
-  const HistoryCheckPlan& plan = sink.plans.back();
-  for (const auto& c : plan.sig_checks) {
-    const BytesView msg(c.payload.data(), c.payload.size());
-    const BytesView sig(c.signature->data(), c.signature->size());
-    if (sig_cache_.find(sig_key(c.pk, msg, sig)) != nullptr) continue;
-    crypto::VerifyJob j;
-    j.kind = crypto::VerifyJob::Kind::kSignature;
-    j.pk = c.pk;
-    j.msg = msg;  // aliases the plan, which the sink owns
-    j.sig = sig;  // aliases the suffix, which outlives the sink
-    sink.jobs.push_back(j);
-  }
-}
-
-void VerificationEngine::gather_history_anchored(GatherSink& sink, const Checkpoint& ck,
-                                                 const std::vector<HistoryEntry>& suffix,
-                                                 const PeerId& owner) const {
-  if (!config_.enable_cache) return;
-  gather_sig(sink, ck.owner.key, ck.signing_payload(),
-             BytesView(ck.owner_sig.data(), ck.owner_sig.size()));
-  sink.plans.push_back(plan_history_checks(suffix, 0, ck.last_round, owner));
-  const HistoryCheckPlan& plan = sink.plans.back();
-  for (const auto& c : plan.sig_checks) {
-    const BytesView msg(c.payload.data(), c.payload.size());
-    const BytesView sig(c.signature->data(), c.signature->size());
-    if (sig_cache_.find(sig_key(c.pk, msg, sig)) != nullptr) continue;
-    crypto::VerifyJob j;
-    j.kind = crypto::VerifyJob::Kind::kSignature;
-    j.pk = c.pk;
-    j.msg = msg;
-    j.sig = sig;
-    sink.jobs.push_back(j);
-  }
-}
-
-void VerificationEngine::gather_sample(GatherSink& sink,
-                                       const crypto::PublicKeyBytes& prover_key,
-                                       const Peerset& candidates, std::size_t want,
-                                       std::string_view domain, BytesView nonce,
-                                       const std::vector<Bytes>& proofs) const {
-  if (!config_.enable_cache) return;
-  const std::size_t target = std::min(want, candidates.size());
-  // Same guards as verify_sample's prefetch: an empty draw or a proof flood
-  // is rejected structurally before any proof would be resolved.
-  if (target == 0 || proofs.empty() || proofs.size() > kMaxDrawAttempts) return;
-  for (std::size_t i = 0; i < proofs.size(); ++i) {
-    gather_vrf(sink, prover_key,
-               draw_alpha(domain, nonce, static_cast<std::uint64_t>(i) + 1),
-               BytesView(proofs[i].data(), proofs[i].size()));
-  }
-}
-
-std::size_t VerificationEngine::preload(
-    std::span<const crypto::VerifyJob> jobs,
-    std::span<const crypto::VerifyVerdict> verdicts) const {
-  AN_ENSURE_MSG(jobs.size() == verdicts.size(), "preload verdict slot mismatch");
-  if (!config_.enable_cache) return 0;
-  std::size_t installed = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& job = jobs[i];
-    if (job.kind == crypto::VerifyJob::Kind::kSignature) {
-      const CacheKey key = sig_key(job.pk, job.msg, job.sig);
-      if (sig_cache_.find(key) == nullptr) {
-        sig_cache_.put(key, verdicts[i].ok);
-        ++installed;
-      }
-    } else {
-      const CacheKey key = vrf_key(job.pk, job.msg, job.sig);
-      if (vrf_cache_.find(key) == nullptr) {
-        VrfVerdict v;
-        v.ok = verdicts[i].ok;
-        v.beta = verdicts[i].vrf_output;
-        vrf_cache_.put(key, v);
-        ++installed;
-      }
-    }
-  }
-  sync_evictions();
-  update_gauges();
-  return installed;
-}
-
 void VerificationEngine::invalidate(const PeerId& node) {
   memos_.erase(memo_key(node));
   ++generations_.at_or_insert(node.key);

@@ -1,14 +1,11 @@
 #include "accountnet/harness/network_sim.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <span>
 
 #include "accountnet/core/history.hpp"
 #include "accountnet/core/neighborhood.hpp"
 #include "accountnet/core/node.hpp"
 #include "accountnet/core/witness.hpp"
-#include "accountnet/crypto/pooled.hpp"
 #include "accountnet/crypto/sha256.hpp"
 #include "accountnet/storage/node_store.hpp"
 #include "accountnet/util/bytes.hpp"
@@ -72,29 +69,6 @@ struct NetworkSim::HarnessNode {
   std::size_t coverage_count = 0;
 };
 
-/// One shuffle event (docs/PARALLELISM.md). The plan phase fills the
-/// sequential-prologue fields in event order; the build/exec phases (worker
-/// threads when parallel) only touch this event's two nodes plus the event's
-/// own slots; the merge phase folds scratch back in event order.
-struct NetworkSim::WaveEvent {
-  bool skip = true;        ///< prologue finished the event; only the re-arm remains
-  std::size_t idx = 0;     ///< initiator
-  std::size_t pidx = 0;    ///< responder (full events only)
-  sim::TimePoint when = 0; ///< the event's original timestamp (re-arm base)
-  core::PartnerChoice choice;
-  core::Round rj = 0;
-  bool verify = false;
-  std::uint64_t root = 0;  ///< root "shuffle" span, 0 when untraced
-  // Build outputs.
-  core::ShuffleOffer offer;
-  bool attacked = false;
-  double history_sample = 0.0;
-  core::GatherSink sink;   ///< views alias `offer` — stable because events are heap-allocated
-  std::size_t job_off = 0, job_count = 0, preloaded = 0;
-  // Exec outputs, merged into stats_ at the barrier in event order.
-  HarnessStats scratch;
-};
-
 NetworkSim::NetworkSim(ExperimentConfig config)
     : config_(std::move(config)),
       provider_(config_.use_real_crypto ? crypto::make_real_crypto()
@@ -106,7 +80,6 @@ NetworkSim::NetworkSim(ExperimentConfig config)
   in_wave_.assign(config_.network_size, 0);
   if (parallel()) {
     pool_ = std::make_unique<util::WorkerPool>(config_.threads);
-    pooled_ = std::make_unique<crypto::PooledProvider>(*provider_, pool_.get());
     // Smallest delay rearm_shuffle_at can emit, minus one: a wave started at
     // T may batch events up to T + rearm_bound_ and still flush before any
     // deferred re-arm's absolute time, so schedule_at never lands in the
@@ -447,21 +420,17 @@ void NetworkSim::update_coverage(HarnessNode& node) {
 // Every shuffle timer runs plan_shuffle at the event's own timestamp, in event
 // order: partner selection, the refusal/fault legs, plan-time stats and the
 // global-RNG draw. The expensive remainder — offer build + adversary mutation,
-// offer verification, commit — runs in build_event/exec_event, and
-// merge_event folds the results back and re-arms the timer. At threads <= 1
-// that happens at once, as a wave of one. At threads >= 2 the remainder is
-// deferred into wave_ and executed in parallel at flush time over PROVABLY
-// disjoint node pairs (any plan whose initiator or partner overlaps a pending
-// event flushes first); cache misses gathered from every planned
-// verification resolve through ONE global verify_batch on the shared worker
-// pool. See docs/PARALLELISM.md for the bit-identity argument.
+// offer verification, commit — runs in exec_event, and merge_event folds the
+// results back and re-arms the timer. At threads <= 1 that happens at once,
+// as a wave of one. At threads >= 2 the remainder is deferred into wave_ and
+// executed in one pool pass at flush time over PROVABLY disjoint node pairs
+// (any plan whose initiator or partner overlaps a pending event flushes
+// first); each responder's engine verifies the offer itself, exactly as in a
+// wave of one. See docs/PARALLELISM.md for the bit-identity argument.
 
 void NetworkSim::plan_shuffle(std::size_t idx) {
   if (in_wave_[idx] != 0) flush_wave();
-  // One heap event per planned shuffle when parallel (the wave keeps it);
-  // otherwise the same object serves every event.
-  if (!next_) next_ = std::make_unique<WaveEvent>();
-  WaveEvent& ev = *next_;
+  WaveEvent& ev = next_;
   ev.skip = true;
   ev.idx = idx;
   ev.when = sim_.now();
@@ -562,14 +531,10 @@ void NetworkSim::plan_shuffle(std::size_t idx) {
 }
 
 void NetworkSim::dispatch_event() {
-  WaveEvent& ev = *next_;
+  WaveEvent& ev = next_;
   if (!parallel()) {
-    // A wave of one, run at once on this thread: no gather, no global
-    // batch, no preload — the engine verifies on its own.
-    if (!ev.skip) {
-      build_event(ev, false);
-      exec_event(ev);
-    }
+    // A wave of one, run at once on this thread.
+    exec_event(ev);
     merge_event(ev);
     return;
   }
@@ -585,22 +550,15 @@ void NetworkSim::dispatch_event() {
   if (full && wave_.size() >= kMaxWave) flush_wave();
 }
 
-void NetworkSim::build_event(WaveEvent& ev, bool gather) {
-  HarnessNode& hn = *nodes_[ev.idx];
-  ev.offer = core::make_offer(*hn.state, ev.choice, ev.rj);
-  ev.attacked = hn.malicious && config_.adversary.any() &&
-                apply_adversary(hn, ev.offer, ev.choice.partner);
-  if (ev.attacked) ++ev.scratch.byz_attacks;
-  ev.history_sample = static_cast<double>(ev.offer.history_suffix.size());
-  if (gather && ev.verify) {
-    const HarnessNode& partner = *nodes_[ev.pidx];
-    core::gather_offer_checks(ev.offer, *partner.state, *partner.engine, ev.sink);
-  }
-}
-
 void NetworkSim::exec_event(WaveEvent& ev) {
+  if (ev.skip) return;
   HarnessNode& hn = *nodes_[ev.idx];
   HarnessNode& partner = *nodes_[ev.pidx];
+  core::ShuffleOffer offer = core::make_offer(*hn.state, ev.choice, ev.rj);
+  const bool attacked = hn.malicious && config_.adversary.any() &&
+                        apply_adversary(hn, offer, ev.choice.partner);
+  if (attacked) ++ev.scratch.byz_attacks;
+  ev.history_sample = static_cast<double>(offer.history_suffix.size());
   // Partner leg: verify + commit happen on the responder, so they get their
   // own child span under the initiator's root.
   std::uint64_t respond = 0;
@@ -609,9 +567,9 @@ void NetworkSim::exec_event(WaveEvent& ev) {
                                   sim_.now(), tracer_->context(ev.root));
   }
   if (ev.verify) {
-    if (const auto v = core::verify_offer(ev.offer, *partner.state, ev.rj, *partner.engine);
+    if (const auto v = core::verify_offer(offer, *partner.state, ev.rj, *partner.engine);
         !v) {
-      if (ev.attacked) {
+      if (attacked) {
         // Detection: the responder caught the mutation and quarantines the
         // initiator. Honest failures stay in verification_failures so the
         // "MUST stay 0 with honest nodes" invariant keeps its teeth.
@@ -627,10 +585,10 @@ void NetworkSim::exec_event(WaveEvent& ev) {
       return;
     }
   }
-  const auto response = core::make_response_and_commit(*partner.state, ev.offer);
+  const auto response = core::make_response_and_commit(*partner.state, offer);
   close_span(respond, "committed");
   if (ev.verify) {
-    if (const auto v = core::verify_response(response, *hn.state, ev.offer, *hn.engine);
+    if (const auto v = core::verify_response(response, *hn.state, offer, *hn.engine);
         !v) {
       ++ev.scratch.verification_failures;
       close_span(ev.root, "response_rejected");
@@ -638,7 +596,7 @@ void NetworkSim::exec_event(WaveEvent& ev) {
       return;
     }
   }
-  core::apply_offer_outcome(*hn.state, ev.offer, response);
+  core::apply_offer_outcome(*hn.state, offer, response);
   close_span(ev.root, "completed");
   ++ev.scratch.shuffles_completed;
   purge_zombies(hn);
@@ -675,65 +633,21 @@ void NetworkSim::close_span(std::uint64_t span, const char* outcome) {
 void NetworkSim::flush_wave() {
   if (wave_.empty()) return;
 
-  // Phase 1 (parallel): build offers, apply adversary mutations, gather every
-  // engine cache miss the planned verifications will need. Each item touches
-  // only its own event's two nodes (disjoint by construction).
-  pool_->run(wave_.size(), [this](std::size_t i) {
-    if (!wave_[i]->skip) build_event(*wave_[i], true);
-  });
+  // One parallel pass: each event builds its offer and runs the exchange on
+  // its own two nodes (disjoint by construction), the responder's engine
+  // verifying the offer itself. Counter bumps go to the event's scratch.
+  pool_->run(wave_.size(), [this](std::size_t i) { exec_event(wave_[i]); });
 
-  // Phase 2 (single global batch): every cache miss of the wave, resolved in
-  // one verify_batch fanned across the persistent pool.
-  std::vector<crypto::VerifyJob> jobs;
-  for (auto& evp : wave_) {
-    evp->job_off = jobs.size();
-    evp->job_count = evp->sink.jobs.size();
-    jobs.insert(jobs.end(), evp->sink.jobs.begin(), evp->sink.jobs.end());
-  }
-  std::vector<crypto::VerifyVerdict> verdicts(jobs.size());
-  if (!jobs.empty()) pooled_->verify_batch(jobs, verdicts);
-
-  // Phase 3 (parallel): preload each responder engine with its slice of the
-  // verdicts, then replay the synchronous exchange cache-hot. Same node
-  // disjointness as phase 1; counter bumps go to the per-event scratch.
-  pool_->run(wave_.size(), [this, &jobs, &verdicts](std::size_t i) {
-    WaveEvent& ev = *wave_[i];
-    if (ev.skip) return;
-    if (ev.job_count > 0) {
-      ev.preloaded = nodes_[ev.pidx]->engine->preload(
-          std::span<const crypto::VerifyJob>(jobs).subspan(ev.job_off, ev.job_count),
-          std::span<const crypto::VerifyVerdict>(verdicts).subspan(ev.job_off,
-                                                                   ev.job_count));
-    }
-    exec_event(ev);
-  });
-
-  // Phase 4 (sequential merge, event order): fold scratch stats and history
-  // samples back, then emit every deferred re-arm. Event order makes the
-  // float accumulation, the per-node jitter draws and the re-arm sequence
-  // numbers identical to a wave of one.
-  std::uint64_t preloaded_total = 0;
-  for (auto& evp : wave_) {
-    WaveEvent& ev = *evp;
+  // Sequential merge, in event order: fold scratch stats and history samples
+  // back, then emit every deferred re-arm. Event order makes the float
+  // accumulation, the per-node jitter draws and the re-arm sequence numbers
+  // identical to a wave of one.
+  for (WaveEvent& ev : wave_) {
     in_wave_[ev.idx] = 0;
     if (!ev.skip) in_wave_[ev.pidx] = 0;
-    preloaded_total += ev.preloaded;
     merge_event(ev);
   }
-  const std::uint64_t jobs_total = jobs.size();
   wave_.clear();
-
-  // Interned on the first flush only, so threads <= 1 scrapes never see the
-  // series (the byz.*/durability lazy-interning rule).
-  if (!wave_ids_interned_) {
-    wave_ids_interned_ = true;
-    id_flushes_ = metrics_.counter("verify.epoch_batch.flushes");
-    id_jobs_ = metrics_.counter("verify.epoch_batch.jobs");
-    id_preloaded_ = metrics_.counter("verify.epoch_batch.preloaded");
-  }
-  metrics_.add(id_flushes_);
-  metrics_.add(id_jobs_, jobs_total);
-  metrics_.add(id_preloaded_, preloaded_total);
 }
 
 void NetworkSim::drive_until(sim::TimePoint deadline) {

@@ -59,15 +59,10 @@ inline void guard_fold_node(wire::Writer& w, const core::Node& node) {
 /// Miniature bench/byz_soak: 24 nodes on the event-driven stack, witnessed
 /// channels between honest endpoints, a 3-node contingent armed with
 /// bias_sample (the attack every sampler backend must make detectable).
-/// `custom_provider` substitutes the crypto backend (e.g. a PooledProvider
-/// wrapping FastCrypto) — the digest must not change, per the provider
-/// determinism contract.
-inline std::string guard_byz_digest(
-    const crypto::CryptoProvider* custom_provider = nullptr) {
+inline std::string guard_byz_digest() {
   sim::Simulator simu;
-  const auto fallback = custom_provider ? nullptr : crypto::make_fast_crypto();
-  const crypto::CryptoProvider& provider =
-      custom_provider ? *custom_provider : *fallback;
+  const auto fast = crypto::make_fast_crypto();
+  const crypto::CryptoProvider& provider = *fast;
   sim::SimNetwork net(simu, sim::netem_latency(), 7);
 
   core::Node::Config config;
@@ -187,12 +182,10 @@ inline std::string guard_harness_digest(std::size_t threads = 0) {
 /// Miniature bench/fig20_ml_latency: the pubsub case study over the
 /// event-driven stack, witness policy reconfigured via update_config, four
 /// publish round-trips timed in virtual time.
-inline std::string guard_fig20_digest(
-    const crypto::CryptoProvider* custom_provider = nullptr) {
+inline std::string guard_fig20_digest() {
   sim::Simulator simu;
-  const auto fallback = custom_provider ? nullptr : crypto::make_fast_crypto();
-  const crypto::CryptoProvider& provider =
-      custom_provider ? *custom_provider : *fallback;
+  const auto fast = crypto::make_fast_crypto();
+  const crypto::CryptoProvider& provider = *fast;
   sim::SimNetwork net(simu, sim::netem_latency(), 11);
 
   core::Node::Config config;

@@ -6,8 +6,10 @@
 // transitive assertion.
 #include <gtest/gtest.h>
 
-#include "accountnet/crypto/pooled.hpp"
-#include "accountnet/util/worker_pool.hpp"
+#include <map>
+#include <string>
+
+#include "accountnet/obs/sink.hpp"
 #include "../core/sampler_baseline_scenarios.hpp"
 
 namespace accountnet::testing {
@@ -26,26 +28,50 @@ TEST(ParallelDeterminism, HarnessScenarioBitIdenticalAtEveryThreadCount) {
   }
 }
 
-// Event-driven scenarios have no thread knob; their parallel surface is the
-// crypto batch fan-out. Wrapping the backend in a PooledProvider must leave
-// the digests untouched at every pool size (provider determinism contract).
-TEST(ParallelDeterminism, ByzSoakScenarioUnperturbedByPooledCrypto) {
-  const std::string baseline = guard_byz_digest();
-  for (const std::size_t t : kThreadGrid) {
-    util::WorkerPool pool(t);
-    const auto inner = crypto::make_fast_crypto();
-    const crypto::PooledProvider pooled(*inner, &pool);
-    EXPECT_EQ(guard_byz_digest(&pooled), baseline) << "threads " << t;
+/// Every counter of a full scrape, by name. Verification runs on every
+/// shuffle and the engine caches are small, so the engine's hit, miss,
+/// eviction, history and batch counters all move.
+std::map<std::string, std::uint64_t> scraped_counters(std::size_t threads,
+                                                      bool real_crypto) {
+  harness::ExperimentConfig c;
+  c.network_size = real_crypto ? 40 : 160;
+  c.f = 5;
+  c.l = 3;
+  c.lane_size = real_crypto ? 10 : 20;
+  c.verify_fraction = 1.0;
+  c.verification.sig_cache_capacity = 8;
+  c.verification.vrf_cache_capacity = 8;
+  c.verification.history_memo_capacity = 4;
+  c.use_real_crypto = real_crypto;
+  c.seed = 29;
+  c.threads = threads;
+  harness::NetworkSim net(c);
+  net.run(real_crypto ? 6 : 10, [](std::size_t) {});
+
+  obs::MemorySink sink;
+  net.scrape_metrics(sink);
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& row : sink.rows()) {
+    if (row.sample.kind == obs::MetricKind::kCounter) {
+      counters[row.sample.name] = row.sample.count;
+    }
   }
+  return counters;
 }
 
-TEST(ParallelDeterminism, Fig20ScenarioUnperturbedByPooledCrypto) {
-  const std::string baseline = guard_fig20_digest();
-  for (const std::size_t t : kThreadGrid) {
-    util::WorkerPool pool(t);
-    const auto inner = crypto::make_fast_crypto();
-    const crypto::PooledProvider pooled(*inner, &pool);
-    EXPECT_EQ(guard_fig20_digest(&pooled), baseline) << "threads " << t;
+// A wave verifies each offer on the responder's own engine, exactly as a
+// wave of one does, so the whole scrape (engine cache hits, misses and
+// evictions, batch calls and jobs included) matches threads = 0.
+TEST(ParallelDeterminism, CountersIdenticalAtEveryThreadCount) {
+  for (const bool real_crypto : {false, true}) {
+    const auto baseline = scraped_counters(0, real_crypto);
+    ASSERT_GT(baseline.at("verify.cache.hit"), 0u) << "real " << real_crypto;
+    ASSERT_GT(baseline.at("verify.cache.evict"), 0u) << "real " << real_crypto;
+    ASSERT_GT(baseline.at("verify.batch.calls"), 0u) << "real " << real_crypto;
+    for (const std::size_t t : {std::size_t{2}, std::size_t{4}}) {
+      EXPECT_EQ(scraped_counters(t, real_crypto), baseline)
+          << "threads " << t << ", real " << real_crypto;
+    }
   }
 }
 
