@@ -5,12 +5,12 @@
 // crypto backends — quantifying the price of the paper's security mechanism
 // and justifying the harness's spot-verification default.
 //
-// Part 2 — the VerificationEngine's cold/warm/batched history-verification
-// cost per entry (core/verification_engine.hpp): cold = full reconstruction
-// with every signature re-checked, warm = the exact-hit memo path, batched =
-// cold with misses routed through CryptoProvider::verify_batch. Emits
-// BENCH_verify.json (JSON-lines, one row per backend × suffix length) with
-// the per-entry costs and cache hit rates the CI chaos job tracks.
+// Part 2 — the VerificationEngine's history-verification cost per entry
+// (core/verification_engine.hpp): cold = full reconstruction with every
+// signature checked one by one, batched = the same checks routed through
+// CryptoProvider::verify_batch. Emits BENCH_verify.json (JSON-lines, one row
+// per backend × suffix length) with the per-entry costs the CI chaos job
+// tracks.
 #include <chrono>
 
 #include "accountnet/core/select.hpp"
@@ -87,8 +87,7 @@ struct World {
 };
 
 struct EngineRow {
-  double cold_ns = 0, warm_ns = 0, batched_ns = 0;
-  double sig_hit_rate = 0, vrf_hit_rate = 0;
+  double cold_ns = 0, batched_ns = 0;
   std::size_t entries = 0;
 };
 
@@ -98,7 +97,7 @@ double ns_per_entry(std::chrono::steady_clock::duration d, std::size_t iters,
          static_cast<double>(iters * entries);
 }
 
-/// Cold / warm / batched per-entry verification cost over one genuine suffix.
+/// Cold / batched per-entry verification cost over one genuine suffix.
 EngineRow measure_engine(bool real, std::size_t target_entries, std::size_t iters,
                          std::uint64_t seed) {
   using clock = std::chrono::steady_clock;
@@ -111,69 +110,32 @@ EngineRow measure_engine(bool real, std::size_t target_entries, std::size_t iter
   EngineRow row;
   row.entries = suffix.size();
 
-  // Cold: a fresh engine per iteration — full reconstruction, every
-  // counterpart signature re-verified, batching off so this is the
-  // sequential-provider baseline the warm and batched columns divide by.
+  // Cold: full reconstruction, every counterpart signature verified, batching
+  // off so this is the sequential-provider baseline the batched column
+  // divides by.
   VerificationEngine::Config seq;
   seq.enable_batch = false;
   {
+    const VerificationEngine engine(*w.provider, seq);
     const auto start = clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      VerificationEngine engine(*w.provider, seq);
       if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
     }
     row.cold_ns = ns_per_entry(clock::now() - start, iters, suffix.size());
   }
 
-  // Batched cold: identical verdicts, misses resolved via verify_batch
+  // Batched: identical verdicts, signatures resolved via verify_batch
   // (parallel on multi-core runners; on a single core it measures the
   // batching overhead itself).
   {
+    const VerificationEngine engine(*w.provider);
     const auto start = clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      VerificationEngine engine(*w.provider);
       if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
     }
     row.batched_ns = ns_per_entry(clock::now() - start, iters, suffix.size());
   }
 
-  // Warm: one engine, memo established, then exact-hit replays — the
-  // steady-state cost of a returning partner re-proving an unchanged suffix.
-  {
-    VerificationEngine engine(*w.provider, seq);
-    if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
-    const std::size_t warm_iters = iters * 8;
-    const auto start = clock::now();
-    for (std::size_t i = 0; i < warm_iters; ++i) {
-      if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
-    }
-    row.warm_ns = ns_per_entry(clock::now() - start, warm_iters, suffix.size());
-
-    // Hit rates, on a fresh engine: verify the suffix, then replay it
-    // trimmed by one entry (what a partner sends after history_limit drops
-    // the oldest). The trimmed replay is not a memo extension, so the full
-    // path runs — against signature verdicts cached by the first pass.
-    VerificationEngine fresh(*w.provider);
-    (void)fresh.verify_history(suffix, node.self(), claimed);
-    const std::vector<HistoryEntry> trimmed(suffix.begin() + 1, suffix.end());
-    (void)fresh.verify_history(trimmed, node.self(),
-                               UpdateHistory::reconstruct(trimmed));
-    // VRF rate comes from the sample path (histories carry no VRF proofs):
-    // one cold verify_sample, one warm replay.
-    const Bytes nonce = {0x76, 0x63, 0x2d, 0x6e};  // "vc-n"
-    const Draw draw = draw_sample(node.signer(), node.peerset(), 2, "an.sample", nonce);
-    for (int pass = 0; pass < 2; ++pass) {
-      (void)fresh.verify_sample(node.self().key, node.peerset(), 2, "an.sample",
-                                nonce, draw.proofs, draw.sample);
-    }
-    const auto& s = fresh.stats();
-    const auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-      const auto total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-    };
-    row.sig_hit_rate = rate(s.sig_hits, s.sig_misses);
-    row.vrf_hit_rate = rate(s.vrf_hits, s.vrf_misses);
-  }
   return row;
 }
 
@@ -223,33 +185,27 @@ int main(int argc, char** argv) {
   }
   std::printf("\n|V| = %zu, %zu analysis rounds\n%s", v, rounds, t.to_string().c_str());
 
-  // --- Part 2: VerificationEngine cold/warm/batched ------------------------
+  // --- Part 2: VerificationEngine cold/batched -----------------------------
   obs::JsonLinesSink sink("BENCH_verify.json");
   const std::vector<std::size_t> lengths =
       args.full ? std::vector<std::size_t>{32, 64, 128} : std::vector<std::size_t>{48};
-  Table e({"backend", "entries", "cold ns/entry", "warm ns/entry",
-           "batched ns/entry", "warm speedup", "sig hit", "vrf hit"});
+  Table e({"backend", "entries", "cold ns/entry", "batched ns/entry",
+           "batched speedup"});
   for (const bool real : {true, false}) {
     for (const std::size_t len : lengths) {
       const std::size_t iters = real ? 8 : 64;
       const EngineRow r = measure_engine(real, len, iters, args.seed);
-      const double warm_speedup = r.warm_ns > 0 ? r.cold_ns / r.warm_ns : 0.0;
       const double batched_speedup = r.batched_ns > 0 ? r.cold_ns / r.batched_ns : 0.0;
       e.add_row({real ? "real" : "fast", std::to_string(r.entries),
-                 Table::num(r.cold_ns, 0), Table::num(r.warm_ns, 0),
-                 Table::num(r.batched_ns, 0), Table::num(warm_speedup, 1),
-                 Table::num(r.sig_hit_rate, 2), Table::num(r.vrf_hit_rate, 2)});
+                 Table::num(r.cold_ns, 0), Table::num(r.batched_ns, 0),
+                 Table::num(batched_speedup, 2)});
       sink.raw_line("{\"bench\":\"verify\",\"backend\":\"" +
                     std::string(real ? "real" : "fast") +
                     "\",\"entries\":" + std::to_string(r.entries) +
                     ",\"seed\":" + std::to_string(args.seed) +
                     ",\"cold_ns_per_entry\":" + Table::num(r.cold_ns, 1) +
-                    ",\"warm_ns_per_entry\":" + Table::num(r.warm_ns, 1) +
                     ",\"batched_ns_per_entry\":" + Table::num(r.batched_ns, 1) +
-                    ",\"warm_speedup\":" + Table::num(warm_speedup, 2) +
-                    ",\"batched_speedup\":" + Table::num(batched_speedup, 2) +
-                    ",\"sig_hit_rate\":" + Table::num(r.sig_hit_rate, 3) +
-                    ",\"vrf_hit_rate\":" + Table::num(r.vrf_hit_rate, 3) + "}");
+                    ",\"batched_speedup\":" + Table::num(batched_speedup, 2) + "}");
       std::printf(".");
       std::fflush(stdout);
     }
@@ -260,9 +216,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nTakeaway: full verification multiplies per-shuffle cost (dominated\n"
               "by VRF re-derivation and history reconstruction) but stays well\n"
-              "within a 10 s shuffle period even with real Ed25519+ECVRF; the\n"
-              "engine's memo turns a returning partner's re-proof into a hash\n"
-              "walk (>= 3x cheaper per entry with real crypto), and batching\n"
-              "recovers parallel headroom on multi-core runners.\n");
+              "within a 10 s shuffle period even with real Ed25519+ECVRF;\n"
+              "batching recovers parallel headroom on multi-core runners.\n");
   return 0;
 }

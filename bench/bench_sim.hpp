@@ -66,16 +66,13 @@ inline harness::ExperimentConfig paper_config(std::size_t v, std::size_t f,
 }
 
 /// Configuration for the 100k–1M-node scale rows (tentpole grid). FastCrypto
-/// only, and per-node verification caches / history slimmed so |V| = 1M fits
-/// in memory — the harness multiplies every capacity by |V|. Graph shape and
-/// protocol parameters match paper_config.
+/// only, and per-node history slimmed so |V| = 1M fits in memory — the
+/// harness multiplies every capacity by |V|. Graph shape and protocol
+/// parameters match paper_config.
 inline harness::ExperimentConfig scale_config(std::size_t v, const BenchArgs& args) {
   auto c = paper_config(v, 5, 2, args);
   c.use_real_crypto = false;
   c.history_limit = 32;
-  c.verification.sig_cache_capacity = 32;
-  c.verification.vrf_cache_capacity = 32;
-  c.verification.history_memo_capacity = 8;
   return c;
 }
 

@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
                       "Fig. 11 — network size, malicious nodes, shuffle rate",
                       args.full);
 
-  // --full adds the 100k scale row (slimmed caches, FastCrypto; drive it
+  // --full adds the 100k scale row (slimmed history, FastCrypto; drive it
   // with --threads N for the wave-parallel scheduler — same numbers, less
   // wall-clock).
   const std::vector<std::size_t> sizes =

@@ -7,7 +7,7 @@
 // baselines/BENCH_scale.json — the digest and shuffle columns carry the
 // regression signal; wall-clock columns are informational and skipped by
 // the tolerance rules, since runners differ in core count).
-// --full: the 100k–1M-node scale grid (FastCrypto, slimmed caches).
+// --full: the 100k–1M-node scale grid (FastCrypto, slimmed history).
 #include <chrono>
 
 #include "accountnet/crypto/sha256.hpp"

@@ -153,7 +153,7 @@ struct HistorySigCheck {
 
 /// Phase 1 of suffix verification: runs every structural check and collects
 /// every signature check without touching the crypto provider, so callers
-/// can resolve signatures through a cache or CryptoProvider::verify_batch().
+/// can resolve signatures through CryptoProvider::verify_batch().
 struct HistoryCheckPlan {
   std::vector<HistorySigCheck> sig_checks;
   /// First structural failure in sequential (seq) order, if any. The scan
@@ -162,13 +162,13 @@ struct HistoryCheckPlan {
   std::optional<std::pair<std::size_t, VerifyError>> structural_failure;
 };
 
-/// Plans the per-entry checks of verify_history_suffix over
-/// `suffix[begin..)`. `prev_round` is the round of the entry preceding
-/// `begin` (nullopt when planning from the start: the first planned entry
-/// then skips the ascending-rounds check). Reconstruction is NOT part of the
+/// Plans the per-entry checks of verify_history_suffix over `suffix`.
+/// `prev_round` is the round of the entry preceding the suffix (a
+/// checkpoint's last round; nullopt when there is none: the first entry then
+/// skips the ascending-rounds check). Reconstruction is NOT part of the
 /// plan — callers replay the deltas themselves.
 HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
-                                     std::size_t begin, std::optional<Round> prev_round,
+                                     std::optional<Round> prev_round,
                                      const PeerId& owner);
 
 /// Structural + cryptographic checks on a history suffix claimed by `owner`:
@@ -176,8 +176,8 @@ HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
 /// counterpart signatures valid for each entry kind, and the reconstruction
 /// equal to `claimed`. This is the Verify(Ω_j, N_j, ...) step of Algorithm 1.
 /// Implemented as plan_history_checks() + sequential resolution, which is
-/// what core::VerificationEngine replays through its caches — the two paths
-/// share one plan and return bit-identical verdicts.
+/// what core::VerificationEngine resolves through verify_batch() — the two
+/// paths share one plan and return bit-identical verdicts.
 VerifyResult verify_history_suffix(const std::vector<HistoryEntry>& suffix,
                                    const PeerId& owner, const Peerset& claimed,
                                    const crypto::CryptoProvider& provider);

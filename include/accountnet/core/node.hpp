@@ -180,8 +180,8 @@ class Node {
     };
     Durability durability;
 
-    /// Verification-engine knobs (caches on by default; defaults preserve
-    /// verdicts bit-for-bit — see core/verification_engine.hpp).
+    /// Verification-engine knobs (batching; no setting changes a verdict —
+    /// see core/verification_engine.hpp).
     VerificationEngine::Config verification;
 
     /// Active-adversary policy for this node (all-off by default).
@@ -313,9 +313,8 @@ class Node {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// This node's verification engine (history memos + verdict caches). All
-  /// shuffle/witness/accusation verification routes through it; exposed for
-  /// cache-statistics scrapes and tests.
+  /// This node's verification engine. All shuffle/witness/accusation
+  /// verification routes through it; exposed for its counters and tests.
   VerificationEngine& verification_engine() { return engine_; }
   const VerificationEngine& verification_engine() const { return engine_; }
 

@@ -46,9 +46,9 @@ enum class SamplerKind : std::uint8_t {
 const char* sampler_kind_name(SamplerKind kind);
 std::optional<SamplerKind> sampler_kind_from(std::string_view name);
 
-/// What a backend costs and how its verdicts may be cached. Descriptive —
-/// protocol correctness never depends on these numbers, but benches, the
-/// VerificationEngine and docs/SAMPLERS.md do.
+/// What a backend costs. Descriptive — protocol correctness never depends
+/// on these numbers, but benches, the VerificationEngine and docs/SAMPLERS.md
+/// do.
 struct SamplerCapabilities {
   SamplerKind kind;
   const char* name;
@@ -67,12 +67,6 @@ struct SamplerCapabilities {
   /// True if the backend uses rejection sampling (Null retries), i.e. the
   /// proof count for a draw is variable up to max_proofs.
   bool rejection_sampling;
-  /// VerificationEngine invalidation semantics: every current backend
-  /// derives verdicts purely from per-signer VRF facts, so the engine's
-  /// per-signer generation bump on invalidate(peer) covers it. A future
-  /// backend with cross-signer state (e.g. interactive transcripts) must
-  /// set this false, which makes the engine bypass its verdict caches.
-  bool per_signer_verdicts;
 };
 
 /// A verifiable sampling strategy. Implementations are stateless and
@@ -96,7 +90,7 @@ class SamplerBackend {
   /// that `claimed` is exactly the sample the proofs dictate. Fails closed
   /// on oversized proof lists (capabilities().max_proofs) before any crypto.
   /// `provider` may be a VerificationEngine (it is a CryptoProvider), in
-  /// which case primitive checks resolve through its caches.
+  /// which case primitive checks are counted by it.
   virtual VerifyResult verify(const crypto::CryptoProvider& provider,
                               const crypto::PublicKeyBytes& prover_key,
                               const Peerset& candidates, std::size_t want,

@@ -89,7 +89,7 @@ VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
                           Round expected_round, const crypto::CryptoProvider& provider);
 
 /// Engine-backed overload: same checks, same verdicts, resolved through the
-/// engine's history memos and verdict caches (core/verification_engine.hpp).
+/// engine's batch path (core/verification_engine.hpp).
 /// Both overloads share one implementation — only signature/VRF/history
 /// resolution is swapped out.
 VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,

@@ -56,7 +56,7 @@ VerifyResult verify_witnesses(const SamplerBackend& sampler,
                               const std::vector<PeerId>& claimed);
 
 /// Engine-backed overload: same verdicts, proofs resolved through the
-/// engine's cache/batch path (core/verification_engine.hpp).
+/// engine's batch path (core/verification_engine.hpp).
 VerifyResult verify_witnesses(const SamplerBackend& sampler, VerificationEngine& engine,
                               const crypto::PublicKeyBytes& drawer_key,
                               const std::vector<PeerId>& candidates, std::size_t quota,

@@ -45,7 +45,7 @@ namespace accountnet::harness {
 /// How flagged-malicious nodes behave (Sec. IV-B's two rational strategies).
 enum class MaliciousMode {
   kFollowProtocol,  ///< shuffle honestly; lie only as witnesses (case i)
-  kSeparateOverlay, ///< refuse benign contact; own overlay (case ii)
+  kSeparateOverlay, ///< own overlay, bootstrapped apart from benign nodes (case ii)
 };
 
 struct ExperimentConfig {
@@ -108,14 +108,9 @@ struct ExperimentConfig {
   core::AdversaryPolicy adversary;
 
   /// Per-node verification-engine knobs (core/verification_engine.hpp).
-  /// Caching never changes verdicts, so defaults keep every seeded run
-  /// byte-identical; capacities are smaller than core::Node's because the
-  /// harness multiplies them by |V| (10k nodes must stay cheap).
-  core::VerificationEngine::Config verification{.enable_cache = true,
-                                                .enable_batch = true,
-                                                .sig_cache_capacity = 256,
-                                                .vrf_cache_capacity = 256,
-                                                .history_memo_capacity = 64};
+  /// Batching never changes verdicts, so every setting keeps a seeded run's
+  /// protocol state byte-identical.
+  core::VerificationEngine::Config verification;
 
   /// Worker threads for the shuffle drive (docs/PARALLELISM.md). Every
   /// shuffle event runs the same plan -> build -> exec -> merge body, and
@@ -136,7 +131,6 @@ struct HarnessStats {
   std::uint64_t shuffles_verified = 0;
   std::uint64_t verification_failures = 0;  ///< MUST stay 0 with honest nodes
   std::uint64_t dead_partner_hits = 0;
-  std::uint64_t refused_cross_group = 0;    ///< kSeparateOverlay refusals
   std::uint64_t leave_reports = 0;
   std::uint64_t fault_failures = 0;         ///< shuffles lost to injected faults
   std::uint64_t byz_attacks = 0;            ///< adversarial offer mutations sent
@@ -178,7 +172,7 @@ class NetworkSim {
   void schedule_churn(std::size_t count, sim::TimePoint start, sim::Duration window);
 
   /// Crash/restart fault (requires durable_nodes). At `crash_at` the node's
-  /// entire RAM state is destroyed — protocol state, verifier caches,
+  /// entire RAM state is destroyed — protocol state, verification engine,
   /// quarantine sets, even the journal object; only its segment store (the
   /// simulated disk) survives. At `restart_at` the node is rebuilt from the
   /// store via storage::NodeStore::load() + core::NodeState::restore() and
@@ -310,7 +304,6 @@ class NetworkSim {
   /// `stats_`).
   void quarantine(HarnessNode& observer, const core::PeerId& accused,
                   HarnessStats& stats, obs::TraceContext ctx = {});
-  void drop_cached_verdicts(HarnessNode& node, const core::PeerId& peer);
   void handle_dead_partner(std::size_t idx, std::size_t partner_idx);
   void record_leave(HarnessNode& reporter_node, const core::PeerId& leaver,
                     HarnessStats& stats);

@@ -129,7 +129,7 @@ VerifyResult verify_history_suffix_anchored(const Checkpoint& ck,
                                             const PeerId& owner, const Peerset& claimed,
                                             const crypto::CryptoProvider& provider) {
   if (const auto r = verify_checkpoint(ck, owner, provider); !r) return r;
-  const HistoryCheckPlan plan = plan_history_checks(suffix, 0, ck.last_round, owner);
+  const HistoryCheckPlan plan = plan_history_checks(suffix, ck.last_round, owner);
   for (const auto& c : plan.sig_checks) {
     if (plan.structural_failure && plan.structural_failure->first < c.seq) break;
     if (!provider.verify(c.pk, c.payload, *c.signature)) {

@@ -212,7 +212,7 @@ std::vector<HistoryEntry> UpdateHistory::entries_from(std::uint64_t index,
 }
 
 HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
-                                     std::size_t begin, std::optional<Round> prev_round,
+                                     std::optional<Round> prev_round,
                                      const PeerId& owner) {
   HistoryCheckPlan plan;
   std::size_t seq = 0;
@@ -232,7 +232,7 @@ HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
         HistorySigCheck{seq, index, pk, std::move(payload), &sig, code});
     ++seq;
   };
-  for (std::size_t i = begin; i < suffix.size(); ++i) {
+  for (std::size_t i = 0; i < suffix.size(); ++i) {
     const auto& e = suffix[i];
     if (!first && !structural(e.self_round > prev, VerifyError::kRoundsNotAscending)) {
       break;
@@ -291,7 +291,7 @@ HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
 VerifyResult verify_history_suffix(const std::vector<HistoryEntry>& suffix,
                                    const PeerId& owner, const Peerset& claimed,
                                    const crypto::CryptoProvider& provider) {
-  const HistoryCheckPlan plan = plan_history_checks(suffix, 0, std::nullopt, owner);
+  const HistoryCheckPlan plan = plan_history_checks(suffix, std::nullopt, owner);
   for (const auto& c : plan.sig_checks) {
     if (plan.structural_failure && plan.structural_failure->first < c.seq) break;
     if (!provider.verify(c.pk, c.payload, *c.signature)) {

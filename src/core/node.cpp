@@ -1010,7 +1010,6 @@ void Node::suspect_peer(const PeerId& peer) {
       // Confirmed someone else's report: record it as received.
       state_.apply_leave_report(probe.reporter, probe.reporter_round, probe.report_sig,
                                 probe.target);
-      engine_.invalidate(probe.target);
       trigger_witness_repair(addr);
       return;
     }
@@ -1027,7 +1026,6 @@ void Node::suspect_peer(const PeerId& peer) {
       if (!(p == probe.target)) send(p.addr, MsgType::kLeaveNotice, payload);
     }
     state_.apply_leave_report(state_.self(), round, sig, probe.target);
-    engine_.invalidate(probe.target);
     trigger_witness_repair(addr);
   });
 }
@@ -1066,7 +1064,6 @@ void Node::on_leave_notice(const sim::NetMessage& msg) {
     reported_leavers_.insert(addr);
     state_.apply_leave_report(probe.reporter, probe.reporter_round, probe.report_sig,
                               probe.target);
-    engine_.invalidate(probe.target);
     trigger_witness_repair(addr);
   });
 }
@@ -2028,10 +2025,6 @@ void Node::quarantine_peer(const PeerId& peer, const char* kind_tag) {
     const auto [round, sig] = state_.make_leave_report(peer);
     state_.apply_leave_report(state_.self(), round, sig, peer);
   }
-  // Drop every cached verification fact about the peer: its next exchange
-  // (if any slips through) must re-prove from scratch, never ride a memo
-  // established before the conviction.
-  engine_.invalidate(peer);
   // If it serves as witness on one of our channels, repair around it.
   trigger_witness_repair(peer.addr);
 }

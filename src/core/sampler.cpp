@@ -54,8 +54,7 @@ class VrfSampler final : public SamplerBackend {
                                               80,
                                               64,
                                               0,
-                                              /*rejection_sampling=*/true,
-                                              /*per_signer_verdicts=*/true};
+                                              /*rejection_sampling=*/true};
     return caps;
   }
 
@@ -99,8 +98,7 @@ class PeerSwapSampler final : public SamplerBackend {
                                               80,
                                               64,
                                               0,
-                                              /*rejection_sampling=*/false,
-                                              /*per_signer_verdicts=*/true};
+                                              /*rejection_sampling=*/false};
     return caps;
   }
 
@@ -197,8 +195,7 @@ class HoneybeeSampler final : public SamplerBackend {
                                               80,
                                               64,
                                               0,
-                                              /*rejection_sampling=*/true,
-                                              /*per_signer_verdicts=*/true};
+                                              /*rejection_sampling=*/true};
     return caps;
   }
 

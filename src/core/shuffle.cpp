@@ -227,7 +227,7 @@ ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
 namespace {
 
 // The two verification backends shared by the offer/response check templates
-// below: plain provider calls, or the VerificationEngine's memoized/batched
+// below: plain provider calls, or the VerificationEngine's batched
 // equivalents. Both resolve the same checks in the same order, so the
 // verdicts are bit-identical by construction.
 

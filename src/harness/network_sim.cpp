@@ -18,8 +18,8 @@ namespace {
 
 /// Wave-size backstop. A flush is forced once this many events are pending,
 /// keeping per-flush memory bounded. The cap is a constant — NEVER derived
-/// from the thread count — so flush points (and therefore verdict-cache
-/// contents, metric deltas, everything) are identical at every thread count.
+/// from the thread count — so flush points (and therefore metric deltas,
+/// everything) are identical at every thread count.
 constexpr std::size_t kMaxWave = 4096;
 
 std::string addr_of(std::size_t idx) {
@@ -56,9 +56,8 @@ struct NetworkSim::HarnessNode {
   std::shared_ptr<storage::MemorySegmentStore> store;
   std::unique_ptr<storage::NodeStore> journal;
   std::unique_ptr<core::NodeState> state;
-  /// Per-node verification front-end (memos are verifier-side state). All
-  /// engines share the sim-wide registry, so cache counters aggregate
-  /// network-wide; sync_metrics() re-derives the occupancy gauges.
+  /// Per-node verification front-end. All engines share the sim-wide
+  /// registry, so their counters aggregate network-wide.
   std::unique_ptr<core::VerificationEngine> engine;
   Rng rng{0};
   std::unordered_set<std::string> reported_leavers;
@@ -158,7 +157,6 @@ void NetworkSim::sync_metrics() {
   sync_counter("harness.shuffles_verified", stats_.shuffles_verified);
   sync_counter("harness.verification_failures", stats_.verification_failures);
   sync_counter("harness.dead_partner_hits", stats_.dead_partner_hits);
-  sync_counter("harness.refused_cross_group", stats_.refused_cross_group);
   sync_counter("harness.leave_reports", stats_.leave_reports);
   sync_counter("harness.fault_failures", stats_.fault_failures);
   if (config_.adversary.any()) {
@@ -193,22 +191,6 @@ void NetworkSim::sync_metrics() {
   metrics_.set(metrics_.gauge("harness.joined"), static_cast<double>(joined_count_));
   metrics_.set(metrics_.gauge("harness.rounds_completed"),
                static_cast<double>(rounds_completed_));
-  // The per-node engines share this registry, so every engine's occupancy
-  // write clobbers the previous one; restore network-wide totals here.
-  // (Hit/miss/evict are counters, which aggregate correctly on their own.)
-  std::uint64_t occ_sig = 0, occ_vrf = 0, occ_memo = 0;
-  for (const auto& n : nodes_) {
-    if (!n->engine) continue;
-    occ_sig += n->engine->sig_cache_size();
-    occ_vrf += n->engine->vrf_cache_size();
-    occ_memo += n->engine->history_memo_size();
-  }
-  metrics_.set(metrics_.gauge("verify.cache.sig.occupancy"),
-               static_cast<double>(occ_sig));
-  metrics_.set(metrics_.gauge("verify.cache.vrf.occupancy"),
-               static_cast<double>(occ_vrf));
-  metrics_.set(metrics_.gauge("verify.cache.history.occupancy"),
-               static_cast<double>(occ_memo));
 }
 
 void NetworkSim::scrape_metrics(obs::Sink& sink) {
@@ -343,10 +325,6 @@ void NetworkSim::quarantine(HarnessNode& observer, const core::PeerId& accused,
   record_leave(observer, accused, stats);
 }
 
-void NetworkSim::drop_cached_verdicts(HarnessNode& node, const core::PeerId& peer) {
-  if (node.engine) node.engine->invalidate(peer);
-}
-
 void NetworkSim::handle_dead_partner(std::size_t idx, std::size_t partner_idx) {
   HarnessNode& hn = *nodes_[idx];
   // Use the cached identity: a crashed partner has no NodeState to ask.
@@ -363,7 +341,6 @@ void NetworkSim::handle_dead_partner(std::size_t idx, std::size_t partner_idx) {
     const auto [round, sig] = hn.state->make_leave_report(leaver);
     peer.state->apply_leave_report(hn.state->self(), round, sig, leaver);
     peer.reported_leavers.insert(leaver.addr);
-    drop_cached_verdicts(peer, leaver);
   }
 }
 
@@ -382,9 +359,6 @@ void NetworkSim::record_leave(HarnessNode& reporter_node, const core::PeerId& le
   reporter_node.reported_leavers.insert(leaver.addr);
   const auto [round, sig] = reporter_node.state->make_leave_report(leaver);
   reporter_node.state->apply_leave_report(reporter_node.state->self(), round, sig, leaver);
-  // A recorded leaver's memos must never vouch for it again (it may return
-  // under the same key after a quarantine-style record).
-  drop_cached_verdicts(reporter_node, leaver);
 }
 
 void NetworkSim::purge_zombies(HarnessNode& node) {
@@ -487,12 +461,6 @@ void NetworkSim::plan_shuffle(std::size_t idx) {
     // core::Node's inbound drop).
     ++stats_.byz_refused_quarantined;
     refuse("refused_quarantined");
-    return;
-  }
-  if (config_.malicious_mode == MaliciousMode::kSeparateOverlay &&
-      partner.malicious != hn.malicious) {
-    ++stats_.refused_cross_group;
-    refuse("refused_cross_group");
     return;
   }
   if (faults_) {
@@ -751,8 +719,8 @@ void NetworkSim::schedule_crash_restart(std::size_t idx, sim::TimePoint crash_at
       bootstrap_group(hn).erase(idx);
     }
     hn.joined = false;
-    // Process death: every byte of RAM is gone — protocol state, verifier
-    // caches, leaver/quarantine sets, even the journal object. Only
+    // Process death: every byte of RAM is gone — protocol state, the
+    // verification engine, leaver/quarantine sets, even the journal object. Only
     // hn.store (the disk) survives to seed recovery.
     hn.state.reset();
     hn.engine.reset();

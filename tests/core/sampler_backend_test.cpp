@@ -1,6 +1,6 @@
 // SamplerBackend contract tests, parameterized over every backend and both
 // crypto providers: determinism, prover/verifier replay agreement, biased
-// claims detected, forged proofs failing closed through the cached
+// claims detected, forged proofs failing closed through the
 // VerificationEngine path, and the bounded-work cap (the kMaxDrawAttempts
 // audit — every backend must refuse oversized proof lists before crypto).
 #include <gtest/gtest.h>
@@ -117,7 +117,7 @@ TEST_P(SamplerBackendTest, ForgedProofFailsClosedThroughEngineColdAndWarm) {
   const Draw d = backend_.draw(*signer_, candidates, 5, kDomain, kNonce);
 
   VerificationEngine engine(*provider_);
-  // Honest draw passes through the engine path (warming its caches).
+  // Honest draw passes through the engine path.
   EXPECT_TRUE(engine.verify_sample(backend_, signer_->public_key(), candidates, 5,
                                    kDomain, kNonce, d.proofs, d.sample));
 
@@ -128,7 +128,7 @@ TEST_P(SamplerBackendTest, ForgedProofFailsClosedThroughEngineColdAndWarm) {
                                          kDomain, kNonce, forged, d.sample);
   EXPECT_FALSE(cold);
   EXPECT_EQ(cold.code, VerifyError::kInvalidVrfProof);
-  // Second pass hits the (negative) verdict cache; the verdict must not flip.
+  // A repeated pass must not flip the verdict.
   const auto warm = engine.verify_sample(backend_, signer_->public_key(), candidates, 5,
                                          kDomain, kNonce, forged, d.sample);
   EXPECT_FALSE(warm);

@@ -1,10 +1,10 @@
-// VerificationEngine: cached verdicts must be bit-identical to the pure
-// verification functions across every cache/batch configuration, and the
-// caches must never let stale or adversarial state change an outcome —
-// forged entries from previously-verified partners, equivocating histories
-// at the same round, truncated replays after trim, and post-invalidation
-// re-verification all fail (or pass) exactly as the uncached path does.
-// Real crypto throughout: cache-bypass bugs are security bugs.
+// VerificationEngine: verdicts must be bit-identical to the pure verification
+// functions across every batch configuration, and no earlier call may change
+// a later outcome — forged entries from previously-verified partners,
+// equivocating histories at the same round and truncated replays after trim
+// all fail (or pass) exactly as the provider path does, and a repeated check
+// reaches the provider again. Real crypto throughout: a skipped check is a
+// security bug.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,6 +22,36 @@ namespace {
 
 using testing::make_node;
 
+/// Forwards to `inner` and counts every check that reaches it.
+class CountingProvider final : public crypto::CryptoProvider {
+ public:
+  explicit CountingProvider(const crypto::CryptoProvider& inner) : inner_(inner) {}
+  std::unique_ptr<crypto::Signer> make_signer(BytesView seed32) const override {
+    return inner_.make_signer(seed32);
+  }
+  bool verify(const crypto::PublicKeyBytes& pk, BytesView msg,
+              BytesView sig) const override {
+    ++checks;
+    return inner_.verify(pk, msg, sig);
+  }
+  std::optional<std::array<std::uint8_t, 64>> vrf_verify(
+      const crypto::PublicKeyBytes& pk, BytesView alpha, BytesView proof) const override {
+    ++checks;
+    return inner_.vrf_verify(pk, alpha, proof);
+  }
+  void verify_batch(std::span<const crypto::VerifyJob> jobs,
+                    std::span<crypto::VerifyVerdict> verdicts) const override {
+    checks += jobs.size();
+    inner_.verify_batch(jobs, verdicts);
+  }
+  const char* name() const override { return inner_.name(); }
+
+  mutable std::size_t checks = 0;
+
+ private:
+  const crypto::CryptoProvider& inner_;
+};
+
 PeerId fabricated_peer(const std::string& tag) {
   PeerId p;
   p.addr = "zz-fab-" + tag;
@@ -36,36 +66,46 @@ void expect_same_verdict(const VerifyResult& want, const VerifyResult& got,
   EXPECT_EQ(want.code, got.code) << what << ": " << want.reason << " vs " << got.reason;
 }
 
+using NodeMap = std::map<std::string, std::unique_ptr<NodeState>>;
+
+/// Five nodes, ve100..ve104: ve100 is the seed, and each other node joins
+/// through it with the other four as its peerset.
+NodeMap joined_nodes(const crypto::CryptoProvider& provider, const NodeConfig& config) {
+  NodeMap nodes;
+  std::vector<PeerId> ids;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const std::string addr = "ve" + std::to_string(100 + i);
+    auto node = make_node(addr, provider, config);
+    ids.push_back(node->self());
+    nodes[addr] = std::move(node);
+  }
+  auto& bootstrap = *nodes.begin()->second;
+  for (auto& [addr, node] : nodes) {
+    if (node.get() == &bootstrap) {
+      bootstrap.init_as_seed();
+      continue;
+    }
+    std::vector<PeerId> others;
+    for (const auto& id : ids) {
+      if (!(id == node->self())) others.push_back(id);
+    }
+    const Bytes stamp = bootstrap.signer().sign(join_stamp_payload(addr));
+    node->apply_join(bootstrap.self(), stamp, others);
+  }
+  return nodes;
+}
+
+NodeConfig small_config() {
+  NodeConfig config;
+  config.max_peerset = 5;
+  config.shuffle_length = 3;
+  return config;
+}
+
 class VerificationEngineFixture : public ::testing::Test {
  protected:
   std::unique_ptr<crypto::CryptoProvider> provider_ = crypto::make_real_crypto();
-  NodeConfig config_;
-  std::map<std::string, std::unique_ptr<NodeState>> nodes_;
-
-  void SetUp() override {
-    config_.max_peerset = 5;
-    config_.shuffle_length = 3;
-    std::vector<PeerId> ids;
-    for (std::size_t i = 0; i < 5; ++i) {
-      const std::string addr = "ve" + std::to_string(100 + i);
-      auto node = make_node(addr, *provider_, config_);
-      ids.push_back(node->self());
-      nodes_[addr] = std::move(node);
-    }
-    auto& bootstrap = *nodes_.begin()->second;
-    for (auto& [addr, node] : nodes_) {
-      if (node.get() == &bootstrap) {
-        bootstrap.init_as_seed();
-        continue;
-      }
-      std::vector<PeerId> others;
-      for (const auto& id : ids) {
-        if (!(id == node->self())) others.push_back(id);
-      }
-      const Bytes stamp = bootstrap.signer().sign(join_stamp_payload(addr));
-      node->apply_join(bootstrap.self(), stamp, others);
-    }
-  }
+  NodeMap nodes_ = joined_nodes(*provider_, small_config());
 
   /// Commits one shuffle from `node` to its VRF-chosen partner; returns the
   /// offer that travelled (its history_suffix/claimed_peerset are the proof
@@ -106,23 +146,22 @@ class VerificationEngineFixture : public ::testing::Test {
 // --- Verdict equality across the config grid --------------------------------
 
 TEST_F(VerificationEngineFixture, VerdictsMatchUncachedAcrossConfigGrid) {
-  VerificationEngine cached_batched(*provider_);
+  VerificationEngine batched(*provider_);  // batch_min = 2
   VerificationEngine::Config no_batch;
   no_batch.enable_batch = false;
-  VerificationEngine cached_seq(*provider_, no_batch);
-  VerificationEngine::Config off;
-  off.enable_cache = false;
-  off.enable_batch = false;
-  VerificationEngine disabled(*provider_, off);
+  VerificationEngine sequential(*provider_, no_batch);
   VerificationEngine::Config batch1;
-  batch1.batch_min = 1;  // force every miss set through verify_batch
+  batch1.batch_min = 1;  // force every check set through verify_batch
   VerificationEngine forced_batch(*provider_, batch1);
-  VerificationEngine* engines[] = {&cached_batched, &cached_seq, &disabled,
-                                   &forced_batch};
+  VerificationEngine::Config batch_large;
+  batch_large.batch_min = std::size_t{1} << 20;  // no call is ever this large
+  VerificationEngine never_batched(*provider_, batch_large);
+  VerificationEngine* engines[] = {&batched, &sequential, &forced_batch,
+                                   &never_batched};
 
   // Every exchange is checked four ways before committing, so later rounds
-  // replay warm memos against the live uncached verdict — including offers
-  // doctored the same way the harness adversary doctors them.
+  // replay returning partners against the provider verdict — including
+  // offers doctored the same way the harness adversary doctors them.
   for (int round = 0; round < 5; ++round) {
     for (auto& [addr, node] : nodes_) {
       const auto choice = choose_partner(*node);
@@ -175,26 +214,25 @@ TEST_F(VerificationEngineFixture, VerdictsMatchUncachedAcrossConfigGrid) {
     }
   }
 
-  // The grid is only meaningful if the warm paths actually engaged.
-  const auto& st = cached_batched.stats();
-  EXPECT_GT(st.sig_hits + st.vrf_hits, 0u);
-  EXPECT_GT(st.history_exact + st.history_extended, 0u);
-  EXPECT_GT(forced_batch.stats().batch_calls, 0u);
-  EXPECT_EQ(disabled.stats().sig_hits, 0u);
-  EXPECT_EQ(disabled.history_memo_size(), 0u);
+  // The grid is only meaningful if both resolution paths engaged.
+  EXPECT_GT(batched.stats().batch_calls, 0u);
+  EXPECT_GT(forced_batch.stats().batch_calls, batched.stats().batch_calls);
+  EXPECT_EQ(sequential.stats().batch_calls, 0u);
+  EXPECT_EQ(never_batched.stats().batch_calls, 0u);
+  EXPECT_EQ(sequential.stats().sig_misses, batched.stats().sig_misses);
+  EXPECT_EQ(sequential.stats().vrf_misses, batched.stats().vrf_misses);
 }
 
-// --- Stale-cache regressions -------------------------------------------------
+// --- Returning partners and doctored histories -------------------------------
 
 TEST_F(VerificationEngineFixture, ForgedExtensionFromWarmPartnerRejected) {
   const ShuffleOffer offer = offer_with_history("ve101", 2);
   VerificationEngine engine(*provider_);
   ASSERT_TRUE(engine.verify_history(offer.history_suffix, offer.initiator,
                                     Peerset(offer.claimed_peerset)));
-  ASSERT_EQ(engine.history_memo_size(), 1u);
 
   // The partner returns with one more entry — whose signature is forged. The
-  // extension path must check the new entry, not wave it through on the memo.
+  // new entry must be checked, not waved through on the earlier pass.
   std::vector<HistoryEntry> extended = offer.history_suffix;
   HistoryEntry forged = extended.back();
   forged.self_round = extended.back().self_round + 1;
@@ -210,13 +248,10 @@ TEST_F(VerificationEngineFixture, ForgedExtensionFromWarmPartnerRejected) {
   ASSERT_FALSE(want.ok);
   const VerifyResult got = engine.verify_history(extended, offer.initiator, claimed);
   expect_same_verdict(want, got, "forged extension");
-  EXPECT_EQ(engine.stats().history_extended, 1u)
-      << "the forgery must travel the extension path to regress the cache";
-  // The failed extension must not advance the memo: the genuine suffix still
-  // passes as an exact hit afterwards.
+  // The failed extension leaves nothing behind: the genuine suffix still
+  // passes afterwards.
   EXPECT_TRUE(engine.verify_history(offer.history_suffix, offer.initiator,
                                     Peerset(offer.claimed_peerset)));
-  EXPECT_EQ(engine.stats().history_exact, 1u);
 }
 
 TEST_F(VerificationEngineFixture, SameSuffixDifferentClaimNotAnExactHit) {
@@ -234,7 +269,7 @@ TEST_F(VerificationEngineFixture, SameSuffixDifferentClaimNotAnExactHit) {
   expect_same_verdict(
       want, engine.verify_history(offer.history_suffix, offer.initiator,
                                   Peerset(inflated)),
-      "inflated claim with memoized suffix");
+      "inflated claim with a verified suffix");
 }
 
 TEST_F(VerificationEngineFixture, EquivocatingHistoriesAtSameRoundKeepVerdicts) {
@@ -244,7 +279,7 @@ TEST_F(VerificationEngineFixture, EquivocatingHistoriesAtSameRoundKeepVerdicts) 
 
   // Fork B: same rounds, same signatures (entry signatures cover only the
   // nonce), doctored membership. Inline verification cannot tell A from B —
-  // what the cache must guarantee is that neither verdict leaks to the other.
+  // what the engine must guarantee is that neither verdict leaks to the other.
   std::vector<HistoryEntry> fork = offer.history_suffix;
   fork.back().in.push_back(fabricated_peer("equiv"));
   const Peerset fork_claim = UpdateHistory::reconstruct(fork);
@@ -256,17 +291,14 @@ TEST_F(VerificationEngineFixture, EquivocatingHistoriesAtSameRoundKeepVerdicts) 
   expect_same_verdict(want_a,
                       engine.verify_history(offer.history_suffix, offer.initiator,
                                             Peerset(offer.claimed_peerset)),
-                      "fork A cold");
+                      "fork A");
   expect_same_verdict(want_b,
                       engine.verify_history(fork, offer.initiator, fork_claim),
-                      "fork B after A memoized");
+                      "fork B after A");
   expect_same_verdict(want_a,
                       engine.verify_history(offer.history_suffix, offer.initiator,
                                             Peerset(offer.claimed_peerset)),
-                      "fork A after B memoized");
-  // Same entry count + different bytes can never ride the memo.
-  EXPECT_EQ(engine.stats().history_extended, 0u);
-  EXPECT_EQ(engine.stats().history_exact, 0u);
+                      "fork A after B");
 }
 
 TEST_F(VerificationEngineFixture, TruncatedReplayAfterTrimVerifiesRetainedSuffix) {
@@ -276,7 +308,7 @@ TEST_F(VerificationEngineFixture, TruncatedReplayAfterTrimVerifiesRetainedSuffix
                                     Peerset(offer.claimed_peerset)));
 
   // After a trim the proof degrades to the retained suffix: shorter than the
-  // memo, so it must take the full path — and still verify.
+  // one verified before, and it must still verify.
   std::vector<HistoryEntry> trimmed(offer.history_suffix.begin() + 1,
                                     offer.history_suffix.end());
   const Peerset trimmed_claim = UpdateHistory::reconstruct(trimmed);
@@ -285,72 +317,10 @@ TEST_F(VerificationEngineFixture, TruncatedReplayAfterTrimVerifiesRetainedSuffix
   expect_same_verdict(want,
                       engine.verify_history(trimmed, offer.initiator, trimmed_claim),
                       "trimmed replay");
-  EXPECT_EQ(engine.stats().history_exact, 0u);
-  EXPECT_EQ(engine.stats().history_extended, 0u);
-  // The trimmed proof becomes the new memo; replaying it is an exact hit.
   expect_same_verdict(want,
                       engine.verify_history(trimmed, offer.initiator, trimmed_claim),
-                      "trimmed replay, warm");
-  if (want.ok) EXPECT_EQ(engine.stats().history_exact, 1u);
-}
-
-TEST_F(VerificationEngineFixture, InvalidateDropsMemoAndCachedVerdicts) {
-  const ShuffleOffer offer = offer_with_history("ve101", 2);
-  VerificationEngine engine(*provider_);
-  ASSERT_TRUE(engine.verify_history(offer.history_suffix, offer.initiator,
-                                    Peerset(offer.claimed_peerset)));
-  ASSERT_EQ(engine.history_memo_size(), 1u);
-  ASSERT_GT(engine.sig_cache_size(), 0u);
-
-  engine.invalidate(offer.initiator);
-  EXPECT_EQ(engine.history_memo_size(), 0u);
-  EXPECT_EQ(engine.stats().invalidations, 1u);
-
-  // Quarantine lifted / peer re-admitted: the suffix must travel the full
-  // path again (no memo) with the uncached verdict. Entry signatures belong
-  // to the counterparts, so those cached verdicts legitimately survive.
-  const VerifyResult got = engine.verify_history(
-      offer.history_suffix, offer.initiator, Peerset(offer.claimed_peerset));
-  expect_same_verdict(provider_verdict(offer), got, "post-invalidate");
-  EXPECT_EQ(engine.stats().history_full, 2u);
-
-  // Generation bump, checked at the primitive level: a verdict cached under
-  // the invalidated signer's own key must be unreachable afterwards.
-  VerificationEngine primitive(*provider_);
-  const Bytes probe = bytes_of("gen-bump-probe");
-  const Bytes probe_sig = nodes_.at(offer.initiator.addr)->signer().sign(probe);
-  EXPECT_TRUE(primitive.verify(offer.initiator.key, probe, probe_sig));
-  EXPECT_TRUE(primitive.verify(offer.initiator.key, probe, probe_sig));
-  EXPECT_EQ(primitive.stats().sig_hits, 1u);
-  primitive.invalidate(offer.initiator);
-  EXPECT_TRUE(primitive.verify(offer.initiator.key, probe, probe_sig));
-  EXPECT_EQ(primitive.stats().sig_hits, 1u)
-      << "generation bump must orphan the signer's cached verdicts";
-
-  // A forgery arriving right after re-admission fails closed through the
-  // rebuilt state too.
-  std::vector<HistoryEntry> forged = offer.history_suffix;
-  forged.back().signature.front() ^= 0x01;
-  const VerifyResult want = verify_history_suffix(
-      forged, offer.initiator, Peerset(offer.claimed_peerset), *provider_);
-  ASSERT_FALSE(want.ok);
-  expect_same_verdict(want,
-                      engine.verify_history(forged, offer.initiator,
-                                            Peerset(offer.claimed_peerset)),
-                      "forged after re-admission");
-}
-
-TEST_F(VerificationEngineFixture, ClearResetsEverything) {
-  const ShuffleOffer offer = offer_with_history("ve102", 1);
-  VerificationEngine engine(*provider_);
-  ASSERT_TRUE(engine.verify_history(offer.history_suffix, offer.initiator,
-                                    Peerset(offer.claimed_peerset)));
-  engine.clear();
-  EXPECT_EQ(engine.history_memo_size(), 0u);
-  EXPECT_EQ(engine.sig_cache_size(), 0u);
-  EXPECT_EQ(engine.vrf_cache_size(), 0u);
-  EXPECT_TRUE(engine.verify_history(offer.history_suffix, offer.initiator,
-                                    Peerset(offer.claimed_peerset)));
+                      "trimmed replay, repeated");
+  EXPECT_EQ(engine.stats().history_full, 3u);
 }
 
 // --- Sample (VRF) path -------------------------------------------------------
@@ -366,15 +336,15 @@ TEST_F(VerificationEngineFixture, SampleVerdictsMatchWarmAndCold) {
   VerificationEngine engine(*provider_);
   const auto want = verify_sample(*provider_, drawer.self().key, candidates, 2,
                                   "an.sample", nonce, draw.proofs, draw.sample);
-  for (int pass = 0; pass < 2; ++pass) {  // cold, then VRF-cache warm
+  for (int pass = 0; pass < 2; ++pass) {  // first, then repeated
     const auto got = engine.verify_sample(drawer.self().key, candidates, 2,
                                           "an.sample", nonce, draw.proofs,
                                           draw.sample);
-    expect_same_verdict(want, got, pass == 0 ? "sample cold" : "sample warm");
+    expect_same_verdict(want, got, pass == 0 ? "sample" : "sample repeated");
   }
-  EXPECT_GT(engine.stats().vrf_hits, 0u);
+  EXPECT_EQ(engine.stats().vrf_misses, 2 * draw.proofs.size());
 
-  // A doctored claim fails identically through the cache.
+  // A doctored claim fails identically through the engine.
   std::vector<PeerId> lied = draw.sample;
   ASSERT_FALSE(lied.empty());
   lied.front() = fabricated_peer("sample");
@@ -385,6 +355,40 @@ TEST_F(VerificationEngineFixture, SampleVerdictsMatchWarmAndCold) {
                       engine.verify_sample(drawer.self().key, candidates, 2,
                                            "an.sample", nonce, draw.proofs, lied),
                       "doctored sample claim");
+}
+
+// --- No state between calls -------------------------------------------------
+
+// Every check of a repeated offer reaches the provider again: no verdict,
+// signature or history suffix is remembered from the first pass.
+TEST(VerificationEngine, RepeatedCheckReachesProviderEachTime) {
+  const auto real = crypto::make_real_crypto();
+  const CountingProvider counting(*real);
+  NodeMap nodes = joined_nodes(*real, small_config());
+  // A few committed rounds give every suffix shuffle entries to check.
+  for (int round = 0; round < 3; ++round) {
+    for (auto& [addr, node] : nodes) {
+      if (node->peerset().empty()) continue;  // the seed, until someone adds it
+      ASSERT_EQ(testing::run_shuffle_any(*node, nodes, *real), "") << addr;
+    }
+  }
+  NodeState& node = *nodes.at("ve101");
+  const auto choice = choose_partner(node);
+  ASSERT_TRUE(choice.has_value());
+  NodeState& partner = *nodes.at(choice->partner.addr);
+  const ShuffleOffer offer = make_offer(node, *choice, partner.round());
+  ASSERT_GE(offer.history_suffix.size(), 2u);
+
+  VerificationEngine engine(counting);
+  std::size_t cost[2] = {0, 0};
+  for (std::size_t& c : cost) {
+    const std::size_t before = counting.checks;
+    ASSERT_TRUE(verify_offer(offer, partner, partner.round(), engine));
+    c = counting.checks - before;
+  }
+  EXPECT_GT(cost[0], offer.history_suffix.size());
+  EXPECT_EQ(cost[1], cost[0]);
+  EXPECT_EQ(engine.stats().history_full, 2u);
 }
 
 }  // namespace

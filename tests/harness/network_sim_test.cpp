@@ -291,9 +291,9 @@ TEST(NetworkSim, TracerDoesNotPerturbHarnessOutcomes) {
 // outcomes completed, rejected (with its accuse.quarantine span),
 // dead_partner, refused_quarantined and fault, hashed as the span JSONL that
 // write_spans_jsonl would dump. The digest was captured from the harness
-// that still had a separate sequential shuffle body. refused_cross_group is
-// not reachable here: bootstrap groups keep the two coalitions apart, so no
-// peerset ever holds a cross-group partner.
+// that still had a separate sequential shuffle body. Under kSeparateOverlay
+// the bootstrap groups keep the two coalitions apart, so no peerset ever
+// holds a cross-group partner.
 TEST(NetworkSim, TracedSpanDumpIsPinned) {
   auto config = small_config();
   config.network_size = 60;

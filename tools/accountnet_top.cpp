@@ -7,9 +7,9 @@
 //
 // Each poll hits every daemon's /status and /timeseries (the HTTP plane
 // enabled by accountnetd --http-port) and renders one row per node:
-// standing, peers, round, windowed shuffle/reconnect rates, verify-cache
-// hit ratio, how many peers the node has quarantined, and how many OTHER
-// nodes have evicted it (the cluster's verdict on an adversary).
+// standing, peers, round, windowed shuffle/reconnect rates, how many peers
+// the node has quarantined, and how many OTHER nodes have evicted it (the
+// cluster's verdict on an adversary).
 //
 // The /status "seq" field orders polls: a seq that goes backwards means the
 // daemon restarted; one that stands still means the poll is stale (a wedged
@@ -66,8 +66,6 @@ struct NodeView {
   // Windowed rates from the last /timeseries point.
   double shuffle_rate = 0;
   double reconnect_rate = 0;
-  double cache_hit = 0, cache_miss = 0;
-  bool have_rates = false;
 };
 
 std::vector<std::string> string_list(const JsonValue* v) {
@@ -108,15 +106,8 @@ NodeView poll_node(const Endpoint& ep) {
     const JsonValue* c = cells->get(name);
     return c != nullptr ? c->get_number("rate") : 0.0;
   };
-  const auto total = [&](const char* name) {
-    const JsonValue* c = cells->get(name);
-    return c != nullptr ? c->get_number("total") : 0.0;
-  };
   view.shuffle_rate = rate("node.shuffles_completed");
   view.reconnect_rate = rate("net.conn.reconnects");
-  view.cache_hit = total("verify.cache.hit");
-  view.cache_miss = total("verify.cache.miss");
-  view.have_rates = true;
   return view;
 }
 
@@ -124,12 +115,12 @@ NodeView poll_node(const Endpoint& ep) {
 std::size_t render(const std::vector<NodeView>& views,
                    std::map<std::string, double>& last_seq) {
   std::size_t reachable = 0;
-  std::printf("%-22s %-12s %5s %7s %8s %8s %7s %5s %6s\n", "NODE", "STATE",
-              "PEERS", "ROUND", "SHUF/S", "RECON/S", "VCACHE", "QUAR", "EVBY");
+  std::printf("%-22s %-12s %5s %7s %8s %8s %5s %6s\n", "NODE", "STATE", "PEERS",
+              "ROUND", "SHUF/S", "RECON/S", "QUAR", "EVBY");
   for (const NodeView& v : views) {
     if (!v.reachable) {
-      std::printf("%-22s %-12s %5s %7s %8s %8s %7s %5s %6s\n",
-                  v.endpoint.c_str(), "DOWN", "-", "-", "-", "-", "-", "-", "-");
+      std::printf("%-22s %-12s %5s %7s %8s %8s %5s %6s\n", v.endpoint.c_str(),
+                  "DOWN", "-", "-", "-", "-", "-", "-");
       continue;
     }
     ++reachable;
@@ -153,18 +144,9 @@ std::size_t render(const std::vector<NodeView>& views,
       }
     }
     if (evicted_by > 0) state += "*";  // flagged by the rest of the cluster
-    const double lookups = v.cache_hit + v.cache_miss;
-    char vcache[16];
-    if (v.have_rates && lookups > 0) {
-      std::snprintf(vcache, sizeof(vcache), "%5.1f%%",
-                    100.0 * v.cache_hit / lookups);
-    } else {
-      std::snprintf(vcache, sizeof(vcache), "%s", "-");
-    }
-    std::printf("%-22s %-12s %5.0f %7.0f %8.2f %8.2f %7s %5zu %6zu\n",
-                v.endpoint.c_str(), state.c_str(), v.peers, v.round,
-                v.shuffle_rate, v.reconnect_rate, vcache, v.quarantined.size(),
-                evicted_by);
+    std::printf("%-22s %-12s %5.0f %7.0f %8.2f %8.2f %5zu %6zu\n", v.endpoint.c_str(),
+                state.c_str(), v.peers, v.round, v.shuffle_rate, v.reconnect_rate,
+                v.quarantined.size(), evicted_by);
   }
   return reachable;
 }
