@@ -7,6 +7,12 @@
 // baselines/BENCH_scale.json — the digest and shuffle columns carry the
 // regression signal; wall-clock columns are informational and skipped by
 // the tolerance rules, since runners differ in core count).
+//
+// Every cell runs kRepeats times, each repeat sweeping the whole thread grid,
+// so a host that drifts during the run spreads over every thread count
+// alike. The wall-clock fields are the medians over the repeats (speedups
+// pair each repeat with its own sequential run), with the quartiles beside
+// them; every repeat must reproduce the same digest.
 // --full: the 100k–1M-node scale grid (FastCrypto, slimmed history).
 #include <chrono>
 
@@ -45,6 +51,8 @@ std::uint32_t word(const std::array<std::uint8_t, 32>& d, std::size_t off) {
   return (std::uint32_t{d[off]} << 24) | (std::uint32_t{d[off + 1]} << 16) |
          (std::uint32_t{d[off + 2]} << 8) | std::uint32_t{d[off + 3]};
 }
+
+constexpr std::size_t kRepeats = 3;
 
 struct RowResult {
   std::array<std::uint8_t, 32> digest;
@@ -105,31 +113,49 @@ int main(int argc, char** argv) {
   obs::JsonLinesSink sink("BENCH_scale.json");
   bool determinism_ok = true;
   for (const auto v : sizes) {
-    Table t({"threads", "shuffles (measured)", "wall ms", "shuffles/s (wall)",
-             "speedup vs seq", "digest"});
-    std::vector<std::pair<std::size_t, RowResult>> rows;
-    for (const auto threads : thread_grid) {
-      rows.emplace_back(threads, run_cell(v, threads, args));
+    Table t({"threads", "shuffles (measured)", "wall ms (q1-q3)", "shuffles/s (wall)",
+             "speedup vs seq (q1-q3)", "digest"});
+    // runs[k][rep]: thread_grid[k]'s cell in repeat rep.
+    std::vector<std::vector<RowResult>> runs(thread_grid.size());
+    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+      for (std::size_t k = 0; k < thread_grid.size(); ++k) {
+        runs[k].push_back(run_cell(v, thread_grid[k], args));
+      }
     }
-    // rows.front() is the threads = 0 row.
-    const double wall_seq = rows.front().second.wall_ms;
-    for (const auto& [threads, r] : rows) {
-      if (r.digest != rows.front().second.digest) determinism_ok = false;
-      const double speedup = r.wall_ms > 0.0 ? wall_seq / r.wall_ms : 0.0;
-      const double per_sec = r.wall_ms > 0.0
-                                 ? static_cast<double>(r.completed) /
-                                       (r.wall_ms / 1000.0)
-                                 : 0.0;
+    // runs.front() holds the threads = 0 cells.
+    const auto& seq = runs.front();
+    for (std::size_t k = 0; k < thread_grid.size(); ++k) {
+      const std::size_t threads = thread_grid[k];
+      Samples walls, speedups;
+      for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+        const RowResult& c = runs[k][rep];
+        if (c.digest != seq.front().digest) determinism_ok = false;
+        walls.add(c.wall_ms);
+        speedups.add(c.wall_ms > 0.0 ? seq[rep].wall_ms / c.wall_ms : 0.0);
+      }
+      const RowResult& r = runs[k].front();
+      const double wall_ms = walls.median();
+      const double wall_q1 = walls.percentile(25), wall_q3 = walls.percentile(75);
+      const double speedup = speedups.median();
+      const double speedup_q1 = speedups.percentile(25);
+      const double speedup_q3 = speedups.percentile(75);
+      const double per_sec =
+          wall_ms > 0.0 ? static_cast<double>(r.completed) / (wall_ms / 1000.0) : 0.0;
       char hex[9];
       std::snprintf(hex, sizeof(hex), "%08x",
                     static_cast<unsigned>(word(r.digest, 0)));
       t.add_row({std::to_string(threads), std::to_string(r.completed),
-                 Table::num(r.wall_ms, 1), Table::num(per_sec, 0),
-                 Table::num(speedup, 2), hex});
+                 Table::num(wall_ms, 1) + " (" + Table::num(wall_q1, 1) + "-" +
+                     Table::num(wall_q3, 1) + ")",
+                 Table::num(per_sec, 0),
+                 Table::num(speedup, 2) + " (" + Table::num(speedup_q1, 2) + "-" +
+                     Table::num(speedup_q3, 2) + ")",
+                 hex});
       // String fields form the benchdiff row key; numeric fields carry the
       // gated values. Wall-clock fields are skipped by tolerances.json —
       // speedup_vs_1t (speedup over threads = 0; the field keeps its name)
-      // is informational (single-core runners report ~1).
+      // is informational (single-core runners report ~1). The _q1/_q3
+      // fields are absent from the baseline, which benchdiff allows.
       sink.raw_line(
           "{\"bench\":\"scale_soak\",\"network_size\":\"" + std::to_string(v) +
           "\",\"threads\":\"" + std::to_string(threads) +
@@ -140,18 +166,22 @@ int main(int argc, char** argv) {
           ",\"verification_failures\":" + std::to_string(r.failures) +
           ",\"digest_hi32\":" + std::to_string(word(r.digest, 0)) +
           ",\"digest_lo32\":" + std::to_string(word(r.digest, 4)) +
-          ",\"wall_ms\":" + Table::num(r.wall_ms, 3) +
+          ",\"wall_ms\":" + Table::num(wall_ms, 3) +
+          ",\"wall_ms_q1\":" + Table::num(wall_q1, 3) +
+          ",\"wall_ms_q3\":" + Table::num(wall_q3, 3) +
           ",\"shuffles_per_sec_wall\":" + Table::num(per_sec, 3) +
-          ",\"speedup_vs_1t\":" + Table::num(speedup, 4) + "}");
+          ",\"speedup_vs_1t\":" + Table::num(speedup, 4) +
+          ",\"speedup_vs_1t_q1\":" + Table::num(speedup_q1, 4) +
+          ",\"speedup_vs_1t_q3\":" + Table::num(speedup_q3, 4) + "}");
     }
     std::printf("\n|V| = %zu (digest column must be constant down the table)\n%s", v,
                 t.to_string().c_str());
   }
 
   if (!determinism_ok) {
-    std::printf("\nFAIL: thread counts disagree on the state digest\n");
+    std::printf("\nFAIL: thread counts or repeats disagree on the state digest\n");
     return 1;
   }
-  std::printf("\nall thread counts bit-identical; wrote BENCH_scale.json\n");
+  std::printf("\nall thread counts and repeats bit-identical; wrote BENCH_scale.json\n");
   return 0;
 }

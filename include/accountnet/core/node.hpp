@@ -373,6 +373,10 @@ class Node {
     PartnerChoice choice;
     Round round_at_start = 0;  ///< the round the partner draw was made at
     ShuffleOffer offer;
+    /// The exact offer bytes sent (core + body signature), exact-size. The
+    /// response signature binds them, and they become the offer half of
+    /// the shape-2 evidence item, so they are encoded once, at the send.
+    Bytes offer_wire;
     bool offer_sent = false;
     std::uint64_t epoch = 0;
     std::uint64_t timeout_token = 0;  ///< identifies the live abort timer
@@ -604,6 +608,8 @@ class Node {
   /// Cross-checks the suffix a body-signed exchange carried against entries
   /// previously seen from `peer`; a conflicting entry at the same round
   /// raises a kHistoryEquivocation accusation built from the two exchanges.
+  /// `suffix` is the history suffix decoded from `item` (the offer of a
+  /// shape-1 item, the response of a shape-2 item).
   void note_exchange_entries(const PeerId& peer,
                              const std::vector<HistoryEntry>& suffix,
                              ExchangeItem item);
@@ -756,11 +762,15 @@ class Node {
   std::unordered_map<std::string, AccusedRecord> accused_;
   /// Accusation digests already processed (gossip dedup / replay floor).
   BoundedSet<std::string> accusations_seen_{config_.accountability.max_accusations};
-  /// "addr#round" → the entry bytes (+ originating signed exchange) first
-  /// seen from that peer at that round; conflicts are equivocation proof.
+  /// "addr#round" → where the entry first seen from that peer at that round
+  /// lives: the signed exchange that carried it (shared by every entry of
+  /// that exchange) and its position in that exchange's history suffix. The
+  /// item is the only copy retained; a later entry for the same key is
+  /// compared against suffix[index] decoded from it, and a conflict makes
+  /// the two exchanges the equivocation proof.
   struct SeenEntry {
-    Bytes entry_bytes;
     std::shared_ptr<const ExchangeItem> item;
+    std::uint32_t index = 0;
   };
   BoundedMap<std::string, SeenEntry> seen_entries_{
       config_.accountability.max_seen_entries};

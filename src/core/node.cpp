@@ -72,6 +72,32 @@ PeerId fabricated_peer(const std::string& owner_addr) {
   return p;
 }
 
+/// An exchange message as sent: its encoded core with the body signature
+/// appended the way ShuffleOffer/ShuffleResponse::encode() append it
+/// (nothing when unsigned), so the core is encoded only once.
+Bytes signed_wire(Bytes core, const Bytes& body_sig) {
+  if (!body_sig.empty()) {
+    wire::Writer w;
+    w.bytes(body_sig);
+    const Bytes& tail = w.data();
+    core.insert(core.end(), tail.begin(), tail.end());
+  }
+  return core;
+}
+
+Bytes encoded_entry(const HistoryEntry& e) {
+  wire::Writer w;
+  encode_entry(w, e);
+  return std::move(w).take();
+}
+
+/// The history suffix a cross-checked exchange carried: the offer's in a
+/// shape-1 item, the response's in a shape-2 item.
+std::vector<HistoryEntry> item_suffix(const ExchangeItem& item) {
+  return item.shape == 1 ? ShuffleOffer::decode(item.offer).history_suffix
+                         : ShuffleResponse::decode(item.response).history_suffix;
+}
+
 }  // namespace
 
 const char* msg_type_name(MsgType type) {
@@ -758,17 +784,19 @@ void Node::on_round_reply(const sim::NetMessage& msg) {
     pending_->offer.history_suffix.erase(pending_->offer.history_suffix.begin());
     metrics_.add(metrics_.counter("adv.attack.truncate_history"));
   }
+  Bytes core = pending_->offer.encode_core();
   if (acct()) {
     // Body signature comes last: the adversary signs what it actually sends,
     // which is exactly what turns its cheating into transferable evidence.
-    pending_->offer.body_sig = state_.signer().sign(
-        offer_body_payload(pending_->offer.encode_core(), pending_->partner));
+    pending_->offer.body_sig =
+        state_.signer().sign(offer_body_payload(core, pending_->partner));
   }
+  pending_->offer_wire = signed_wire(std::move(core), pending_->offer.body_sig);
+  pending_->offer_wire.shrink_to_fit();  // may outlive the exchange as evidence
   pending_->offer_sent = true;
-  const Bytes payload = pending_->offer.encode();
-  metrics_.add(ids_.history_suffix_bytes, payload.size());
-  pending_->offer_rpc =
-      send_rpc(msg.from, MsgType::kShuffleOffer, payload, config_.query_retry);
+  metrics_.add(ids_.history_suffix_bytes, pending_->offer_wire.size());
+  pending_->offer_rpc = send_rpc(msg.from, MsgType::kShuffleOffer,
+                                 pending_->offer_wire, config_.query_retry);
   schedule_shuffle_timeout();
 }
 
@@ -881,17 +909,18 @@ void Node::on_shuffle_offer(const sim::NetMessage& msg) {
     obs::ScopedTimer t(&metrics_, ids_.t_make_response);
     resp = make_response_and_commit(state_, offer);
   }
+  Bytes core = resp.encode_core();
   if (acct()) {
-    resp.body_sig = state_.signer().sign(
-        response_body_payload(msg.payload, resp.encode_core()));
+    resp.body_sig = state_.signer().sign(response_body_payload(msg.payload, core));
   }
   purge_reported_leavers();
   metrics_.add(ids_.shuffles_responded);
-  const Bytes payload = resp.encode();
+  Bytes payload = signed_wire(std::move(core), resp.body_sig);
   metrics_.add(ids_.history_suffix_bytes, payload.size());
+  // The cache keeps an exact-size copy; the sent buffer is transient.
   response_cache_.put(offer.initiator.addr, {offer.initiator_round, payload});
   span.attr("outcome", "committed");
-  send(msg.from, MsgType::kShuffleResponse, payload);
+  send(msg.from, MsgType::kShuffleResponse, std::move(payload));
 }
 
 void Node::on_shuffle_response(const sim::NetMessage& msg) {
@@ -900,12 +929,11 @@ void Node::on_shuffle_response(const sim::NetMessage& msg) {
   pending_->offer_rpc = 0;
   CtxScope trace(*this, pending_->span);
   const ShuffleResponse resp = ShuffleResponse::decode(msg.payload);
-  Bytes offer_wire;
   if (acct()) {
     // Exact bytes we sent (including our body signature) — the responder's
     // body signature binds them, making the pair verify as a unit.
-    offer_wire = pending_->offer.encode();
-    if (const VerifyError be = check_response_body_sig(resp, offer_wire, engine_);
+    if (const VerifyError be =
+            check_response_body_sig(resp, pending_->offer_wire, engine_);
         be != VerifyError::kNone) {
       metrics_.add(ids_.verification_failures);
       metrics_.add(metrics_.counter(std::string("node.reject.") + error_tag(be)));
@@ -930,7 +958,7 @@ void Node::on_shuffle_response(const sim::NetMessage& msg) {
       acc.accused = resp.responder;
       ExchangeItem item;
       item.shape = 2;
-      item.offer = offer_wire;
+      item.offer = std::move(pending_->offer_wire);  // the exchange ends here
       item.response = msg.payload;
       acc.items.push_back(std::move(item));
       raise_accusation(std::move(acc));
@@ -941,7 +969,7 @@ void Node::on_shuffle_response(const sim::NetMessage& msg) {
   if (acct()) {
     ExchangeItem item;
     item.shape = 2;
-    item.offer = offer_wire;
+    item.offer = std::move(pending_->offer_wire);  // the exchange ends here
     item.response = msg.payload;
     note_exchange_entries(resp.responder, resp.history_suffix, std::move(item));
     if (!pending_ || quarantined_.contains(msg.from)) {
@@ -1912,17 +1940,18 @@ void Node::note_exchange_entries(const PeerId& peer,
                                  const std::vector<HistoryEntry>& suffix,
                                  ExchangeItem item) {
   const auto shared = std::make_shared<const ExchangeItem>(std::move(item));
-  for (const auto& e : suffix) {
+  for (std::size_t i = 0; i < suffix.size(); ++i) {
+    const HistoryEntry& e = suffix[i];
     const std::string key = peer.addr + "#" + std::to_string(e.self_round);
-    wire::Writer w;
-    encode_entry(w, e);
-    Bytes bytes = std::move(w).take();
     const SeenEntry* prev = seen_entries_.find(key);
     if (prev == nullptr) {
-      seen_entries_.put(key, SeenEntry{std::move(bytes), shared});
+      seen_entries_.put(key, SeenEntry{shared, static_cast<std::uint32_t>(i)});
       continue;
     }
-    if (prev->entry_bytes == bytes) continue;
+    // A repeat (about one entry in ten): decode the earlier exchange again.
+    if (encoded_entry(item_suffix(*prev->item)[prev->index]) == encoded_entry(e)) {
+      continue;
+    }
     // Two body-signed exchanges show different entries for the same round of
     // the same node: a forked history. Both exchanges together are the
     // third-party-checkable proof. (History is append-only, so an honest

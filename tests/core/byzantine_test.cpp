@@ -5,19 +5,36 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <optional>
+#include <string>
 
 #include "accountnet/core/accusation.hpp"
 #include "accountnet/core/node.hpp"
 #include "accountnet/util/bytes.hpp"
 #include "accountnet/util/rng.hpp"
+#include "sampler_baseline_scenarios.hpp"
 #include "test_util.hpp"
 
 namespace accountnet::core {
 namespace {
 
 struct ByzNet {
-  explicit ByzNet(std::vector<std::size_t> adversary_idx = {})
-      : net(sim, sim::netem_latency(), 77), adversaries(std::move(adversary_idx)) {
+  /// `bridged`: that node lives on its own fabric, joined to the others
+  /// through the gateway seam, and `tap` sees every message delivered to it.
+  explicit ByzNet(std::vector<std::size_t> adversary_idx = {},
+                  std::optional<std::size_t> bridged = std::nullopt)
+      : net(sim, sim::netem_latency(), 77),
+        side(sim, sim::netem_latency(), 78),
+        adversaries(std::move(adversary_idx)) {
+    if (bridged) {
+      net.set_gateway([this](const sim::NetMessage& m) {
+        if (tap) tap(m);
+        side.send(m);
+      });
+      side.set_gateway([this](const sim::NetMessage& m) { net.send(m); });
+    }
     config.protocol.max_peerset = 4;
     config.protocol.shuffle_length = 2;
     config.shuffle_period = sim::seconds(2);
@@ -29,8 +46,9 @@ struct ByzNet {
       Bytes seed(32);
       Rng rng(7000 + i);
       for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next_u64());
-      nodes.push_back(std::make_unique<Node>(net, "z" + std::to_string(100 + i),
-                                             *provider, seed, config, rng.next_u64()));
+      nodes.push_back(std::make_unique<Node>(bridged == i ? side : net,
+                                             "z" + std::to_string(100 + i), *provider,
+                                             seed, config, rng.next_u64()));
     }
     nodes[0]->start_as_seed();
     for (std::size_t i = 1; i < nodes.size(); ++i) {
@@ -102,9 +120,35 @@ struct ByzNet {
     return c;
   }
 
+  /// SHA-256 over every node's guard fold (round, peerset, quarantines,
+  /// exchange stats) followed by its acc.* counters in name order.
+  std::string state_digest() const {
+    wire::Writer w;
+    for (const auto& nd : nodes) {
+      ::accountnet::testing::guard_fold_node(w, *nd);
+      const auto& m = nd->metrics();
+      std::map<std::string, std::uint64_t> acc;
+      for (obs::MetricId id = 0; id < m.size(); ++id) {
+        if (m.metric_kind(id) == obs::MetricKind::kCounter &&
+            m.metric_name(id).starts_with("acc.")) {
+          acc[m.metric_name(id)] = m.counter_value(id);
+        }
+      }
+      w.u64(acc.size());
+      for (const auto& [name, value] : acc) {
+        w.str(name);
+        w.u64(value);
+      }
+    }
+    const Bytes bytes = std::move(w).take();
+    return ::accountnet::testing::guard_hex(crypto::Sha256::hash(bytes));
+  }
+
   sim::Simulator sim;
   std::unique_ptr<crypto::CryptoProvider> provider = crypto::make_fast_crypto();
   sim::SimNetwork net;
+  sim::SimNetwork side;  ///< the bridged node's fabric (idle otherwise)
+  std::function<void(const sim::NetMessage&)> tap;
   Node::Config config;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<std::size_t> adversaries;
@@ -134,6 +178,66 @@ TEST(ByzantineTest, ShuffleCheatersAccusedQuarantinedEvicted) {
   EXPECT_GE(bn.coverage(16), 1.0);
   EXPECT_GT(bn.accusations_created(), 0u);
   EXPECT_EQ(bn.honest_honest_quarantines(), 0u);
+}
+
+TEST(ByzantineTest, EquivocatorsConvictedByCrossCheck) {
+  // An equivocator signs a doctored history on alternate initiations; only
+  // the cross-exchange audit can tell (each offer verifies inline). Whoever
+  // has seen the real entry at that round holds the other signed exchange.
+  ByzNet bn({7, 16});
+  AdversaryPolicy p;
+  p.equivocate = true;
+  bn.arm(p);
+  bn.sim.run_until(bn.sim.now() + sim::seconds(120));
+
+  EXPECT_GT(bn.total_counter("acc.accuse.created.history_equivocation"), 0u);
+  EXPECT_GE(bn.coverage(7), 0.95);
+  EXPECT_GE(bn.coverage(16), 0.95);
+  EXPECT_EQ(bn.honest_honest_quarantines(), 0u);
+  // Every accusation passed its own self-check, including the shape-2 items
+  // whose offer bytes the initiator kept from the send.
+  EXPECT_EQ(bn.total_counter("acc.accuse.unprovable"), 0u);
+  // Pinned fold of the whole run: rewriting how the cross-check holds its
+  // evidence or how exchanges are encoded must leave every verdict as is.
+  EXPECT_EQ(bn.state_digest(),
+            "7a02c351f41c5cfefd429d9de574868213c20b0e121495a18a41c79c4c5d1ccb");
+}
+
+TEST(ByzantineTest, RepeatedIdenticalEntriesRaiseNothing) {
+  // Honest partners re-serve rounds the observer has already seen (a proof
+  // suffix can reach back past the pair's last exchange). The test reads
+  // every offer and response delivered to the observer: rounds come back,
+  // always byte-identical, and the cross-check that finds them raises nothing.
+  constexpr std::size_t kObserver = 11;
+  std::map<std::string, Bytes> served;  // "addr#round" -> entry bytes
+  std::size_t repeats = 0, conflicts = 0;
+  ByzNet bn({}, kObserver);
+  bn.tap = [&](const sim::NetMessage& m) {
+    std::vector<HistoryEntry> suffix;
+    if (m.type == static_cast<std::uint32_t>(MsgType::kShuffleOffer)) {
+      suffix = ShuffleOffer::decode(m.payload).history_suffix;
+    } else if (m.type == static_cast<std::uint32_t>(MsgType::kShuffleResponse)) {
+      suffix = ShuffleResponse::decode(m.payload).history_suffix;
+    }
+    for (const auto& e : suffix) {
+      wire::Writer w;
+      encode_entry(w, e);
+      Bytes bytes = std::move(w).take();
+      const auto [it, fresh] =
+          served.try_emplace(m.from + "#" + std::to_string(e.self_round), bytes);
+      if (fresh) continue;
+      ++repeats;
+      if (it->second != bytes) ++conflicts;
+    }
+  };
+  bn.sim.run_until(bn.sim.now() + sim::seconds(60));
+
+  EXPECT_GT(repeats, 0u);
+  EXPECT_EQ(conflicts, 0u);
+  EXPECT_EQ(bn.accusations_created(), 0u);
+  EXPECT_EQ(bn.total_counter("acc.accuse.unprovable"), 0u);
+  EXPECT_EQ(bn.nodes[kObserver]->quarantined_count(), 0u);
+  EXPECT_EQ(bn.total_counter("acc.quarantine.peers"), 0u);
 }
 
 TEST(ByzantineTest, ThresholdEvictionNeedsDistinctAccusers) {

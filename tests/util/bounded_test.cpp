@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,26 @@ TEST(BoundedMap, BytePrefixHashKeysMatchTwoProbeReference) {
       }
     }
   }
+}
+
+// Several keys may share one value (a node's seen-entry map points every
+// entry of an exchange at that exchange's one retained copy). Eviction frees the
+// value with its last key.
+TEST(BoundedMap, EvictionReleasesSharedValue) {
+  BoundedMap<int, std::shared_ptr<const std::string>> m(3);
+  auto shared = std::make_shared<const std::string>("exchange");
+  const std::weak_ptr<const std::string> watch = shared;
+  m.put(1, shared);
+  m.put(2, shared);
+  m.put(3, shared);
+  shared.reset();
+  m.put(4, std::make_shared<const std::string>("other"));  // evicts 1
+  m.put(5, std::make_shared<const std::string>("other"));  // evicts 2
+  EXPECT_EQ(m.evictions(), 2u);
+  EXPECT_FALSE(watch.expired());  // key 3 still holds it
+  m.put(6, std::make_shared<const std::string>("other"));  // evicts 3
+  EXPECT_EQ(m.evictions(), 3u);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(BoundedMap, ZeroCapacityRejected) {
