@@ -6,11 +6,10 @@
 // and justifying the harness's spot-verification default.
 //
 // Part 2 — the VerificationEngine's history-verification cost per entry
-// (core/verification_engine.hpp): cold = full reconstruction with every
-// signature checked one by one, batched = the same checks routed through
-// CryptoProvider::verify_batch. Emits BENCH_verify.json (JSON-lines, one row
-// per backend × suffix length) with the per-entry costs the CI chaos job
-// tracks.
+// (core/verification_engine.hpp): full reconstruction with every
+// counterpart signature checked one by one. Emits BENCH_verify.json
+// (JSON-lines, one row per backend × suffix length) with the per-entry cost
+// the CI chaos job tracks.
 #include <chrono>
 
 #include "accountnet/core/select.hpp"
@@ -87,17 +86,11 @@ struct World {
 };
 
 struct EngineRow {
-  double cold_ns = 0, batched_ns = 0;
+  double ns = 0;
   std::size_t entries = 0;
 };
 
-double ns_per_entry(std::chrono::steady_clock::duration d, std::size_t iters,
-                    std::size_t entries) {
-  return std::chrono::duration<double, std::nano>(d).count() /
-         static_cast<double>(iters * entries);
-}
-
-/// Cold / batched per-entry verification cost over one genuine suffix.
+/// Per-entry verification cost over one genuine suffix.
 EngineRow measure_engine(bool real, std::size_t target_entries, std::size_t iters,
                          std::uint64_t seed) {
   using clock = std::chrono::steady_clock;
@@ -107,36 +100,13 @@ EngineRow measure_engine(bool real, std::size_t target_entries, std::size_t iter
   const auto suffix = node.history().suffix(target_entries);
   const Peerset claimed = UpdateHistory::reconstruct(suffix);
 
-  EngineRow row;
-  row.entries = suffix.size();
-
-  // Cold: full reconstruction, every counterpart signature verified, batching
-  // off so this is the sequential-provider baseline the batched column
-  // divides by.
-  VerificationEngine::Config seq;
-  seq.enable_batch = false;
-  {
-    const VerificationEngine engine(*w.provider, seq);
-    const auto start = clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
-    }
-    row.cold_ns = ns_per_entry(clock::now() - start, iters, suffix.size());
+  const VerificationEngine engine(*w.provider);
+  const auto start = clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
   }
-
-  // Batched: identical verdicts, signatures resolved via verify_batch
-  // (parallel on multi-core runners; on a single core it measures the
-  // batching overhead itself).
-  {
-    const VerificationEngine engine(*w.provider);
-    const auto start = clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      if (!engine.verify_history(suffix, node.self(), claimed).ok) std::abort();
-    }
-    row.batched_ns = ns_per_entry(clock::now() - start, iters, suffix.size());
-  }
-
-  return row;
+  const double ns = std::chrono::duration<double, std::nano>(clock::now() - start).count();
+  return {ns / static_cast<double>(iters * suffix.size()), suffix.size()};
 }
 
 }  // namespace
@@ -185,38 +155,31 @@ int main(int argc, char** argv) {
   }
   std::printf("\n|V| = %zu, %zu analysis rounds\n%s", v, rounds, t.to_string().c_str());
 
-  // --- Part 2: VerificationEngine cold/batched -----------------------------
+  // --- Part 2: VerificationEngine history cost -----------------------------
   obs::JsonLinesSink sink("BENCH_verify.json");
   const std::vector<std::size_t> lengths =
       args.full ? std::vector<std::size_t>{32, 64, 128} : std::vector<std::size_t>{48};
-  Table e({"backend", "entries", "cold ns/entry", "batched ns/entry",
-           "batched speedup"});
+  Table e({"backend", "entries", "ns_per_entry"});
   for (const bool real : {true, false}) {
     for (const std::size_t len : lengths) {
       const std::size_t iters = real ? 8 : 64;
       const EngineRow r = measure_engine(real, len, iters, args.seed);
-      const double batched_speedup = r.batched_ns > 0 ? r.cold_ns / r.batched_ns : 0.0;
-      e.add_row({real ? "real" : "fast", std::to_string(r.entries),
-                 Table::num(r.cold_ns, 0), Table::num(r.batched_ns, 0),
-                 Table::num(batched_speedup, 2)});
+      e.add_row({real ? "real" : "fast", std::to_string(r.entries), Table::num(r.ns, 0)});
       sink.raw_line("{\"bench\":\"verify\",\"backend\":\"" +
                     std::string(real ? "real" : "fast") +
                     "\",\"entries\":" + std::to_string(r.entries) +
                     ",\"seed\":" + std::to_string(args.seed) +
-                    ",\"cold_ns_per_entry\":" + Table::num(r.cold_ns, 1) +
-                    ",\"batched_ns_per_entry\":" + Table::num(r.batched_ns, 1) +
-                    ",\"batched_speedup\":" + Table::num(batched_speedup, 2) + "}");
+                    ",\"ns_per_entry\":" + Table::num(r.ns, 1) + "}");
       std::printf(".");
       std::fflush(stdout);
     }
   }
-  std::printf("\nVerificationEngine history path (genuine suffixes, verdicts "
-              "identical on every row):\n%s", e.to_string().c_str());
+  std::printf("\nVerificationEngine history path (genuine suffixes):\n%s",
+              e.to_string().c_str());
   std::printf("wrote BENCH_verify.json\n");
 
   std::printf("\nTakeaway: full verification multiplies per-shuffle cost (dominated\n"
               "by VRF re-derivation and history reconstruction) but stays well\n"
-              "within a 10 s shuffle period even with real Ed25519+ECVRF;\n"
-              "batching recovers parallel headroom on multi-core runners.\n");
+              "within a 10 s shuffle period even with real Ed25519+ECVRF.\n");
   return 0;
 }

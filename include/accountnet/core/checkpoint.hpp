@@ -3,8 +3,8 @@
 // A node periodically seals its peerset-update history prefix into a
 // self-certifying Checkpoint: (owner, epoch, sealed entry count, last sealed
 // round, rolling chain digest over the sealed prefix, peerset at seal time),
-// signed by the owner. The chain digest reuses the verification engine's
-// incremental form — c_k = SHA256(c_{k-1} ‖ SHA256(encode_entry(e_k))) from
+// signed by the owner. The chain digest is history.hpp's rolling form —
+// c_k = SHA256(c_{k-1} ‖ SHA256(encode_entry(e_k))) from
 // c_0 = 0^32 — so a checkpoint commits to the exact wire bytes of every
 // sealed entry.
 //
@@ -75,7 +75,8 @@ VerifyResult verify_checkpoint(const Checkpoint& ck, const PeerId& expected_owne
 /// checkpoint itself, then only the post-checkpoint `suffix` (rounds must
 /// ascend from ck.last_round; counterpart signatures per entry kind), and
 /// finally that replaying the suffix deltas onto the sealed peerset yields
-/// `claimed`. Trimmed-away sealed entries are never needed.
+/// `claimed` — verify_history_from() (history.hpp) with the checkpoint's
+/// last round and peerset. Trimmed-away sealed entries are never needed.
 VerifyResult verify_history_suffix_anchored(const Checkpoint& ck,
                                             const std::vector<HistoryEntry>& suffix,
                                             const PeerId& owner, const Peerset& claimed,

@@ -22,7 +22,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "accountnet/core/peerset.hpp"
@@ -63,11 +62,11 @@ PeerId decode_peer(wire::Reader& r);
 void encode_entry(wire::Writer& w, const HistoryEntry& e);
 HistoryEntry decode_entry(wire::Reader& r);
 
-/// Rolling chain digest over an entry sequence, shared by the verification
-/// engine's partner memos (verification_engine.cpp) and signed checkpoints
-/// (checkpoint.hpp): c_k = SHA256(c_{k-1} ‖ SHA256(encode_entry(e_k))),
-/// c_0 = 0^32. A chain value commits to the exact wire bytes of every entry
-/// it folded, so equal chains over equal counts mean byte-identical prefixes.
+/// Rolling chain digest over an entry sequence, shared by UpdateHistory and
+/// signed checkpoints (checkpoint.hpp):
+/// c_k = SHA256(c_{k-1} ‖ SHA256(encode_entry(e_k))), c_0 = 0^32. A chain
+/// value commits to the exact wire bytes of every entry it folded, so equal
+/// chains over equal counts mean byte-identical prefixes.
 using ChainDigest = std::array<std::uint8_t, 32>;
 ChainDigest entry_digest(const HistoryEntry& e);
 ChainDigest chain_step(const ChainDigest& prev, const ChainDigest& entry);
@@ -136,50 +135,24 @@ class UpdateHistory {
   ChainDigest base_chain_{};  ///< Over the trim_count_ trimmed entries.
 };
 
-/// One deferred counterpart-signature check produced by plan_history_checks():
-/// `payload` must verify under `pk` against `*signature` (which aliases the
-/// planned suffix entry — the suffix must outlive the plan). `seq` is the
-/// check's position in the sequential order verify_history_suffix() would
-/// run it; resolving checks by ascending `seq` and reporting the first
-/// failure reproduces the sequential verdict exactly.
-struct HistorySigCheck {
-  std::size_t seq = 0;
-  std::size_t entry_index = 0;
-  crypto::PublicKeyBytes pk{};
-  Bytes payload;
-  const Bytes* signature = nullptr;
-  VerifyError on_fail = VerifyError::kNone;
-};
-
-/// Phase 1 of suffix verification: runs every structural check and collects
-/// every signature check without touching the crypto provider, so callers
-/// can resolve signatures through CryptoProvider::verify_batch().
-struct HistoryCheckPlan {
-  std::vector<HistorySigCheck> sig_checks;
-  /// First structural failure in sequential (seq) order, if any. The scan
-  /// stops there, mirroring verify_history_suffix's early return — a
-  /// signature check at a smaller seq still takes precedence.
-  std::optional<std::pair<std::size_t, VerifyError>> structural_failure;
-};
-
-/// Plans the per-entry checks of verify_history_suffix over `suffix`.
-/// `prev_round` is the round of the entry preceding the suffix (a
-/// checkpoint's last round; nullopt when there is none: the first entry then
-/// skips the ascending-rounds check). Reconstruction is NOT part of the
-/// plan — callers replay the deltas themselves.
-HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
-                                     std::optional<Round> prev_round,
-                                     const PeerId& owner);
-
 /// Structural + cryptographic checks on a history suffix claimed by `owner`:
 /// rounds strictly ascending, join entries only at the owner's round 0,
 /// counterpart signatures valid for each entry kind, and the reconstruction
 /// equal to `claimed`. This is the Verify(Ω_j, N_j, ...) step of Algorithm 1.
-/// Implemented as plan_history_checks() + sequential resolution, which is
-/// what core::VerificationEngine resolves through verify_batch() — the two
-/// paths share one plan and return bit-identical verdicts.
+/// The checks run one at a time, entry by entry, and the first failure is
+/// the verdict.
 VerifyResult verify_history_suffix(const std::vector<HistoryEntry>& suffix,
                                    const PeerId& owner, const Peerset& claimed,
                                    const crypto::CryptoProvider& provider);
+
+/// The loop behind verify_history_suffix() and the checkpoint-anchored
+/// verify_history_suffix_anchored() (checkpoint.hpp): the same checks, with
+/// the deltas replayed onto `base` instead of the empty set. `prev_round` is
+/// the round of the entry preceding the suffix (a checkpoint's last round);
+/// without it the first entry skips the ascending-rounds check.
+VerifyResult verify_history_from(const std::vector<HistoryEntry>& suffix,
+                                 std::optional<Round> prev_round, const PeerId& owner,
+                                 Peerset base, const Peerset& claimed,
+                                 const crypto::CryptoProvider& provider);
 
 }  // namespace accountnet::core

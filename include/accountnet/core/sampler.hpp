@@ -47,8 +47,7 @@ const char* sampler_kind_name(SamplerKind kind);
 std::optional<SamplerKind> sampler_kind_from(std::string_view name);
 
 /// What a backend costs. Descriptive — protocol correctness never depends
-/// on these numbers, but benches, the VerificationEngine and docs/SAMPLERS.md
-/// do.
+/// on these numbers, but benches and docs/SAMPLERS.md do.
 struct SamplerCapabilities {
   SamplerKind kind;
   const char* name;
@@ -90,7 +89,8 @@ class SamplerBackend {
   /// that `claimed` is exactly the sample the proofs dictate. Fails closed
   /// on oversized proof lists (capabilities().max_proofs) before any crypto.
   /// `provider` may be a VerificationEngine (it is a CryptoProvider), in
-  /// which case primitive checks are counted by it.
+  /// which case primitive checks are counted by it; that is how every
+  /// engine-backed sample and witness check runs.
   virtual VerifyResult verify(const crypto::CryptoProvider& provider,
                               const crypto::PublicKeyBytes& prover_key,
                               const Peerset& candidates, std::size_t want,

@@ -9,11 +9,14 @@
 // draw_sample/verify_sample implement the repeated-draw loop used both for
 // shuffle samples (alpha seeded by the counterpart's round number, so the
 // prover cannot pre-select) and for witness sampling (alpha seeded by the
-// channel nonce agreed by both endpoints).
+// channel nonce agreed by both endpoints). verify_sample is the only replay
+// of such a draw: it checks one proof at a time through the provider it is
+// given, and core::VerificationEngine reaches it as that provider, so an
+// honest verifier and a third party re-checking an accusation run the same
+// code.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -56,23 +59,6 @@ VerifyResult verify_sample(const crypto::CryptoProvider& provider,
                            std::string_view domain, BytesView nonce,
                            const std::vector<Bytes>& proofs,
                            const std::vector<PeerId>& claimed);
-
-/// Pluggable VRF resolution for verify_sample_with: called with the attempt
-/// index (0-based into `proofs`) and the alpha for that attempt, it must
-/// return exactly what provider.vrf_verify(prover_key, alpha, proofs[index])
-/// would — possibly from a memo or a precomputed batch
-/// (core::VerificationEngine). Any other behaviour forfeits the
-/// bit-identical-verdicts guarantee.
-using VrfResolveFn = std::function<std::optional<std::array<std::uint8_t, 64>>(
-    std::size_t index, BytesView alpha)>;
-
-/// verify_sample with the VRF check abstracted out; the replay logic (Null
-/// retries, duplicate suppression, completeness) is shared verbatim with the
-/// provider-backed overload above.
-VerifyResult verify_sample_with(const VrfResolveFn& resolve, const Peerset& candidates,
-                                std::size_t want, std::string_view domain,
-                                BytesView nonce, const std::vector<Bytes>& proofs,
-                                const std::vector<PeerId>& claimed);
 
 /// Draws a single peer (retrying Nulls); used for shuffle-partner selection.
 std::optional<Draw> draw_one(const crypto::Signer& signer, const Peerset& candidates,

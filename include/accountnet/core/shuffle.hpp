@@ -88,10 +88,9 @@ ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
 VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
                           Round expected_round, const crypto::CryptoProvider& provider);
 
-/// Engine-backed overload: same checks, same verdicts, resolved through the
-/// engine's batch path (core/verification_engine.hpp).
-/// Both overloads share one implementation — only signature/VRF/history
-/// resolution is swapped out.
+/// Engine-backed overload: the same checks in the same order, with the
+/// engine as the provider; the engine also counts each history replay
+/// (core/verification_engine.hpp). Both overloads share one implementation.
 VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
                           Round expected_round, VerificationEngine& engine);
 

@@ -16,8 +16,6 @@
 
 namespace accountnet::core {
 
-class VerificationEngine;
-
 inline constexpr std::string_view kWitnessDomain = "an.witness";
 
 /// Channel nonce: binds both endpoints and their rounds.
@@ -47,17 +45,10 @@ Draw draw_witnesses(const SamplerBackend& sampler, const crypto::Signer& signer,
                     const std::vector<PeerId>& candidates, std::size_t quota,
                     BytesView nonce);
 
-/// Counterpart verification of a witness draw.
+/// Counterpart verification of a witness draw. `provider` may be a
+/// core::VerificationEngine, which counts the checks.
 VerifyResult verify_witnesses(const SamplerBackend& sampler,
                               const crypto::CryptoProvider& provider,
-                              const crypto::PublicKeyBytes& drawer_key,
-                              const std::vector<PeerId>& candidates, std::size_t quota,
-                              BytesView nonce, const std::vector<Bytes>& proofs,
-                              const std::vector<PeerId>& claimed);
-
-/// Engine-backed overload: same verdicts, proofs resolved through the
-/// engine's batch path (core/verification_engine.hpp).
-VerifyResult verify_witnesses(const SamplerBackend& sampler, VerificationEngine& engine,
                               const crypto::PublicKeyBytes& drawer_key,
                               const std::vector<PeerId>& candidates, std::size_t quota,
                               BytesView nonce, const std::vector<Bytes>& proofs,

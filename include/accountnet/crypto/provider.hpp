@@ -29,8 +29,9 @@ namespace accountnet::crypto {
 
 using PublicKeyBytes = std::array<std::uint8_t, 32>;
 
-/// One deferred public-key check for CryptoProvider::verify_batch(). The
-/// views alias caller-owned buffers and must stay valid for the call.
+/// One check for CryptoProvider::verify_batch() (see there for why it
+/// remains). The views alias caller-owned buffers and must stay valid for
+/// the call.
 struct VerifyJob {
   enum class Kind : std::uint8_t {
     kSignature = 0,  ///< msg = signed message, sig = signature
@@ -81,15 +82,12 @@ class CryptoProvider {
       const PublicKeyBytes& pk, BytesView alpha, BytesView proof) const = 0;
 
   /// Resolves every job into the matching verdict slot
-  /// (`verdicts.size() == jobs.size()`, enforced).
-  ///
-  /// Determinism contract: verdicts are bit-identical to calling
-  /// verify()/vrf_verify() per job, for every batch size and job order.
-  /// Implementations may fan jobs across wall-clock worker threads, but jobs
-  /// are independent and each worker writes only its own verdict slots, so
-  /// scheduling can never change a result — and no implementation may touch
-  /// simulated time or any seeded RNG. The base implementation is a
-  /// sequential loop.
+  /// (`verdicts.size() == jobs.size()`, enforced) by calling verify() or
+  /// vrf_verify() on this provider, one job after another. No backend
+  /// overrides it and the library never calls it: every check runs through
+  /// verify()/vrf_verify(). It stays, with VerifyJob and VerifyVerdict, only
+  /// because the performance ledger's metering decorator
+  /// (perf_ledger/common.cpp) overrides it.
   virtual void verify_batch(std::span<const VerifyJob> jobs,
                             std::span<VerifyVerdict> verdicts) const;
 

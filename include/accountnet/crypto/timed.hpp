@@ -9,9 +9,10 @@
 //   crypto.verify      CryptoProvider::verify
 //   crypto.vrf_verify  CryptoProvider::vrf_verify
 //
-// plus crypto.verify_batch for CryptoProvider::verify_batch, whose calls and
-// jobs are counted, the jobs also by kind (crypto.verify_batch.sig_jobs and
-// crypto.verify_batch.vrf_jobs).
+// Every check reaches the decorator as one of these primitives: the base
+// CryptoProvider::verify_batch (kept only for the performance ledger) loops
+// over verify()/vrf_verify() of this wrapper, so its jobs are counted and
+// timed as crypto.verify/crypto.vrf_verify calls.
 //
 // The timers are inert until `registry.set_timing_enabled(true)` — wall-clock
 // reads are opt-in per the library-wide simulated-time rule — but observation

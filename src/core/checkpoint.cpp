@@ -129,26 +129,8 @@ VerifyResult verify_history_suffix_anchored(const Checkpoint& ck,
                                             const PeerId& owner, const Peerset& claimed,
                                             const crypto::CryptoProvider& provider) {
   if (const auto r = verify_checkpoint(ck, owner, provider); !r) return r;
-  const HistoryCheckPlan plan = plan_history_checks(suffix, ck.last_round, owner);
-  for (const auto& c : plan.sig_checks) {
-    if (plan.structural_failure && plan.structural_failure->first < c.seq) break;
-    if (!provider.verify(c.pk, c.payload, *c.signature)) {
-      return VerifyResult::fail(c.on_fail);
-    }
-  }
-  if (plan.structural_failure) {
-    return VerifyResult::fail(plan.structural_failure->second);
-  }
-  Peerset n(std::vector<PeerId>(ck.peerset));
-  for (const auto& e : suffix) {
-    for (const auto& p : e.out) n.erase(p);
-    n.insert_all(e.in);
-    n.insert_all(e.fill);
-  }
-  if (!(n == claimed)) {
-    return VerifyResult::fail(VerifyError::kReconstructionMismatch);
-  }
-  return VerifyResult::pass();
+  return verify_history_from(suffix, ck.last_round, owner,
+                             Peerset(std::vector<PeerId>(ck.peerset)), claimed, provider);
 }
 
 Bytes CheckpointAnnounce::encode() const {

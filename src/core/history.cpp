@@ -211,100 +211,68 @@ std::vector<HistoryEntry> UpdateHistory::entries_from(std::uint64_t index,
       entries_.begin() + static_cast<std::ptrdiff_t>(offset + n));
 }
 
-HistoryCheckPlan plan_history_checks(const std::vector<HistoryEntry>& suffix,
-                                     std::optional<Round> prev_round,
-                                     const PeerId& owner) {
-  HistoryCheckPlan plan;
-  std::size_t seq = 0;
-  Round prev = prev_round.value_or(0);
-  bool first = !prev_round.has_value();
-  // Every check — structural or deferred signature — consumes one seq slot in
-  // the exact order verify_history_suffix evaluates it; the scan stops at the
-  // first structural failure just as the sequential code returns there.
-  const auto structural = [&](bool ok, VerifyError code) {
-    if (!ok) plan.structural_failure = std::pair{seq, code};
-    ++seq;
-    return ok;
+VerifyResult verify_history_from(const std::vector<HistoryEntry>& suffix,
+                                 std::optional<Round> prev_round, const PeerId& owner,
+                                 Peerset base, const Peerset& claimed,
+                                 const crypto::CryptoProvider& provider) {
+  const auto signed_by = [&](const HistoryEntry& e, const Bytes& payload) {
+    return provider.verify(e.counterpart.key, payload, e.signature);
   };
-  const auto defer_sig = [&](std::size_t index, const crypto::PublicKeyBytes& pk,
-                             Bytes payload, const Bytes& sig, VerifyError code) {
-    plan.sig_checks.push_back(
-        HistorySigCheck{seq, index, pk, std::move(payload), &sig, code});
-    ++seq;
-  };
-  for (std::size_t i = 0; i < suffix.size(); ++i) {
-    const auto& e = suffix[i];
-    if (!first && !structural(e.self_round > prev, VerifyError::kRoundsNotAscending)) {
-      break;
+  for (const auto& e : suffix) {
+    if (prev_round && e.self_round <= *prev_round) {
+      return VerifyResult::fail(VerifyError::kRoundsNotAscending);
     }
-    prev = e.self_round;
-    first = false;
+    prev_round = e.self_round;
 
-    bool entry_ok = true;
     switch (e.kind) {
-      case EntryKind::kJoin: {
-        if (!structural(e.self_round == 0, VerifyError::kJoinAfterRoundZero)) {
-          entry_ok = false;
-          break;
+      case EntryKind::kJoin:
+        if (e.self_round != 0) return VerifyResult::fail(VerifyError::kJoinAfterRoundZero);
+        if (!signed_by(e, join_stamp_payload(owner.addr))) {
+          return VerifyResult::fail(VerifyError::kInvalidJoinStamp);
         }
-        defer_sig(i, e.counterpart.key, join_stamp_payload(owner.addr), e.signature,
-                  VerifyError::kInvalidJoinStamp);
-        if (!structural(e.out.empty(), VerifyError::kJoinRemovesPeers)) entry_ok = false;
+        if (!e.out.empty()) return VerifyResult::fail(VerifyError::kJoinRemovesPeers);
         break;
-      }
-      case EntryKind::kShuffle: {
-        defer_sig(i, e.counterpart.key, shuffle_nonce_payload(e.nonce), e.signature,
-                  VerifyError::kInvalidShuffleSignature);
-        if (!structural(!(e.counterpart == owner), VerifyError::kSelfShuffleEntry)) {
-          entry_ok = false;
+      case EntryKind::kShuffle:
+        if (!signed_by(e, shuffle_nonce_payload(e.nonce))) {
+          return VerifyResult::fail(VerifyError::kInvalidShuffleSignature);
+        }
+        if (e.counterpart == owner) {
+          return VerifyResult::fail(VerifyError::kSelfShuffleEntry);
         }
         break;
-      }
-      case EntryKind::kLeave: {
-        if (!structural(e.out.size() == 1 && e.in.empty() && e.fill.empty(),
-                        VerifyError::kMalformedLeaveEntry)) {
-          entry_ok = false;
-          break;
+      case EntryKind::kLeave:
+        if (e.out.size() != 1 || !e.in.empty() || !e.fill.empty()) {
+          return VerifyResult::fail(VerifyError::kMalformedLeaveEntry);
         }
-        defer_sig(i, e.counterpart.key, leave_payload(e.nonce, e.out.front().addr),
-                  e.signature, VerifyError::kInvalidLeaveSignature);
+        if (!signed_by(e, leave_payload(e.nonce, e.out.front().addr))) {
+          return VerifyResult::fail(VerifyError::kInvalidLeaveSignature);
+        }
         break;
-      }
     }
-    if (!entry_ok) break;
 
     // A node never holds itself in its peerset.
-    bool owner_in = false;
-    for (const auto& p : e.in) {
-      if (p == owner) owner_in = true;
+    if (std::find(e.in.begin(), e.in.end(), owner) != e.in.end()) {
+      return VerifyResult::fail(VerifyError::kOwnerInsertedIntoOwnPeerset);
     }
-    if (!structural(!owner_in, VerifyError::kOwnerInsertedIntoOwnPeerset)) break;
-    bool owner_fill = false;
-    for (const auto& p : e.fill) {
-      if (p == owner) owner_fill = true;
+    if (std::find(e.fill.begin(), e.fill.end(), owner) != e.fill.end()) {
+      return VerifyResult::fail(VerifyError::kOwnerFilledIntoOwnPeerset);
     }
-    if (!structural(!owner_fill, VerifyError::kOwnerFilledIntoOwnPeerset)) break;
   }
-  return plan;
+  for (const auto& e : suffix) {
+    for (const auto& p : e.out) base.erase(p);
+    base.insert_all(e.in);
+    base.insert_all(e.fill);
+  }
+  if (!(base == claimed)) {
+    return VerifyResult::fail(VerifyError::kReconstructionMismatch);
+  }
+  return VerifyResult::pass();
 }
 
 VerifyResult verify_history_suffix(const std::vector<HistoryEntry>& suffix,
                                    const PeerId& owner, const Peerset& claimed,
                                    const crypto::CryptoProvider& provider) {
-  const HistoryCheckPlan plan = plan_history_checks(suffix, std::nullopt, owner);
-  for (const auto& c : plan.sig_checks) {
-    if (plan.structural_failure && plan.structural_failure->first < c.seq) break;
-    if (!provider.verify(c.pk, c.payload, *c.signature)) {
-      return VerifyResult::fail(c.on_fail);
-    }
-  }
-  if (plan.structural_failure) {
-    return VerifyResult::fail(plan.structural_failure->second);
-  }
-  if (!(UpdateHistory::reconstruct(suffix) == claimed)) {
-    return VerifyResult::fail(VerifyError::kReconstructionMismatch);
-  }
-  return VerifyResult::pass();
+  return verify_history_from(suffix, std::nullopt, owner, Peerset{}, claimed, provider);
 }
 
 }  // namespace accountnet::core

@@ -56,10 +56,12 @@ Draw draw_sample(const crypto::Signer& signer, const Peerset& candidates,
   return draw;
 }
 
-VerifyResult verify_sample_with(const VrfResolveFn& resolve, const Peerset& candidates,
-                                std::size_t want, std::string_view domain,
-                                BytesView nonce, const std::vector<Bytes>& proofs,
-                                const std::vector<PeerId>& claimed) {
+VerifyResult verify_sample(const crypto::CryptoProvider& provider,
+                           const crypto::PublicKeyBytes& prover_key,
+                           const Peerset& candidates, std::size_t want,
+                           std::string_view domain, BytesView nonce,
+                           const std::vector<Bytes>& proofs,
+                           const std::vector<PeerId>& claimed) {
   const std::size_t target = std::min(want, candidates.size());
   if (target == 0) {
     if (!proofs.empty() || !claimed.empty()) {
@@ -76,7 +78,7 @@ VerifyResult verify_sample_with(const VrfResolveFn& resolve, const Peerset& cand
       return VerifyResult::fail(VerifyError::kExtraDrawProofs);
     }
     const Bytes alpha = draw_alpha(domain, nonce, static_cast<std::uint64_t>(i) + 1);
-    const auto beta = resolve(i, BytesView(alpha.data(), alpha.size()));
+    const auto beta = provider.vrf_verify(prover_key, alpha, proofs[i]);
     if (!beta) return VerifyResult::fail(VerifyError::kInvalidVrfProof);
     const auto idx = select_index(candidates.size(), BytesView(beta->data(), beta->size()));
     if (!idx) continue;
@@ -89,19 +91,6 @@ VerifyResult verify_sample_with(const VrfResolveFn& resolve, const Peerset& cand
   }
   if (derived != claimed) return VerifyResult::fail(VerifyError::kSampleMismatch);
   return VerifyResult::pass();
-}
-
-VerifyResult verify_sample(const crypto::CryptoProvider& provider,
-                           const crypto::PublicKeyBytes& prover_key,
-                           const Peerset& candidates, std::size_t want,
-                           std::string_view domain, BytesView nonce,
-                           const std::vector<Bytes>& proofs,
-                           const std::vector<PeerId>& claimed) {
-  return verify_sample_with(
-      [&](std::size_t i, BytesView alpha) {
-        return provider.vrf_verify(prover_key, alpha, proofs[i]);
-      },
-      candidates, want, domain, nonce, proofs, claimed);
 }
 
 std::optional<Draw> draw_one(const crypto::Signer& signer, const Peerset& candidates,

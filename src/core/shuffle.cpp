@@ -226,10 +226,10 @@ ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
 
 namespace {
 
-// The two verification backends shared by the offer/response check templates
-// below: plain provider calls, or the VerificationEngine's batched
-// equivalents. Both resolve the same checks in the same order, so the
-// verdicts are bit-identical by construction.
+// The verifiers shared by the offer/response check templates below: plain
+// provider calls, and the VerificationEngine, which is that same provider
+// plus the verify.history.full count. Both run the same checks in the same
+// order, so the verdicts are bit-identical by construction.
 
 struct ProviderVerifier {
   const crypto::CryptoProvider& p;
@@ -257,30 +257,16 @@ struct ProviderVerifier {
   }
 };
 
-struct EngineVerifier {
-  VerificationEngine& e;
-  const SamplerBackend& sb;
+struct EngineVerifier : ProviderVerifier {
+  EngineVerifier(const VerificationEngine& engine, const SamplerBackend& sampler)
+      : ProviderVerifier{engine, sampler}, e(engine) {}
 
-  const crypto::CryptoProvider& provider() const { return e; }
   VerifyResult history(const std::vector<HistoryEntry>& suffix, const PeerId& owner,
                        const Peerset& claimed) const {
     return e.verify_history(suffix, owner, claimed);
   }
-  VerifyResult anchored(const Checkpoint& ck, const std::vector<HistoryEntry>& suffix,
-                        const PeerId& owner, const Peerset& claimed) const {
-    return e.verify_history_anchored(ck, suffix, owner, claimed);
-  }
-  VerifyResult one(const crypto::PublicKeyBytes& pk, const Peerset& candidates,
-                   std::string_view domain, BytesView nonce,
-                   const std::vector<Bytes>& proofs, const PeerId& claimed) const {
-    return e.verify_one(sb, pk, candidates, domain, nonce, proofs, claimed);
-  }
-  VerifyResult sample(const crypto::PublicKeyBytes& pk, const Peerset& candidates,
-                      std::size_t want, std::string_view domain, BytesView nonce,
-                      const std::vector<Bytes>& proofs,
-                      const std::vector<PeerId>& claimed) const {
-    return e.verify_sample(sb, pk, candidates, want, domain, nonce, proofs, claimed);
-  }
+
+  const VerificationEngine& e;
 };
 
 template <typename Verifier>

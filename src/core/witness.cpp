@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "accountnet/core/neighborhood.hpp"
-#include "accountnet/core/verification_engine.hpp"
 #include "accountnet/util/ensure.hpp"
 #include "accountnet/wire/codec.hpp"
 
@@ -81,15 +80,6 @@ VerifyResult verify_witnesses(const SamplerBackend& sampler,
                               const std::vector<PeerId>& claimed) {
   return sampler.verify(provider, drawer_key, Peerset(candidates), quota, kWitnessDomain,
                         nonce, proofs, claimed);
-}
-
-VerifyResult verify_witnesses(const SamplerBackend& sampler, VerificationEngine& engine,
-                              const crypto::PublicKeyBytes& drawer_key,
-                              const std::vector<PeerId>& candidates, std::size_t quota,
-                              BytesView nonce, const std::vector<Bytes>& proofs,
-                              const std::vector<PeerId>& claimed) {
-  return engine.verify_sample(sampler, drawer_key, Peerset(candidates), quota,
-                              kWitnessDomain, nonce, proofs, claimed);
 }
 
 std::vector<PeerId> merge_witnesses(const std::vector<PeerId>& from_producer,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -16,27 +15,19 @@
 
 namespace accountnet::crypto {
 
-namespace {
-
-VerifyVerdict run_verify_job(const CryptoProvider& provider, const VerifyJob& job) {
-  VerifyVerdict v;
-  if (job.kind == VerifyJob::Kind::kSignature) {
-    v.ok = provider.verify(job.pk, job.msg, job.sig);
-  } else {
-    const auto beta = provider.vrf_verify(job.pk, job.msg, job.sig);
-    v.ok = beta.has_value();
-    if (beta) v.vrf_output = *beta;
-  }
-  return v;
-}
-
-}  // namespace
-
 void CryptoProvider::verify_batch(std::span<const VerifyJob> jobs,
                                   std::span<VerifyVerdict> verdicts) const {
   AN_ENSURE_MSG(jobs.size() == verdicts.size(), "verify_batch verdict slot mismatch");
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    verdicts[i] = run_verify_job(*this, jobs[i]);
+    const VerifyJob& job = jobs[i];
+    VerifyVerdict& v = verdicts[i];
+    v = VerifyVerdict{};
+    if (job.kind == VerifyJob::Kind::kSignature) {
+      v.ok = verify(job.pk, job.msg, job.sig);
+    } else if (const auto beta = vrf_verify(job.pk, job.msg, job.sig)) {
+      v.ok = true;
+      v.vrf_output = *beta;
+    }
   }
 }
 
@@ -167,39 +158,6 @@ class RealCryptoProvider final : public CryptoProvider {
   }
 
   detail::KeyCacheStats key_cache_stats() const { return keys_.stats(); }
-
-  // Fans jobs across a worker pool in fixed contiguous chunks; each worker
-  // writes only its own disjoint verdict slots, so the result is independent
-  // of thread scheduling (the determinism contract in provider.hpp). Small
-  // batches and single-core hosts stay sequential.
-  void verify_batch(std::span<const VerifyJob> jobs,
-                    std::span<VerifyVerdict> verdicts) const override {
-    AN_ENSURE_MSG(jobs.size() == verdicts.size(), "verify_batch verdict slot mismatch");
-    constexpr std::size_t kMinJobsPerWorker = 4;
-    constexpr std::size_t kMaxWorkers = 8;
-    static const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const std::size_t n = jobs.size();
-    const std::size_t workers = std::min({hw, n / kMinJobsPerWorker, kMaxWorkers});
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < n; ++i) verdicts[i] = run_verify_job(*this, jobs[i]);
-      return;
-    }
-    const std::size_t chunk = (n + workers - 1) / workers;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      pool.emplace_back([this, jobs, verdicts, begin, end] {
-        for (std::size_t i = begin; i < end; ++i) {
-          verdicts[i] = run_verify_job(*this, jobs[i]);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
 
   const char* name() const override { return "real(ed25519+ecvrf)"; }
 

@@ -1,6 +1,5 @@
 #include "accountnet/crypto/timed.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "accountnet/util/ensure.hpp"
@@ -23,12 +22,7 @@ struct CryptoMetricIds {
         verify(r.timer("crypto.verify")),
         verify_calls(r.counter("crypto.verify.calls")),
         vrf_verify(r.timer("crypto.vrf_verify")),
-        vrf_verify_calls(r.counter("crypto.vrf_verify.calls")),
-        verify_batch(r.timer("crypto.verify_batch")),
-        verify_batch_calls(r.counter("crypto.verify_batch.calls")),
-        verify_batch_jobs(r.counter("crypto.verify_batch.jobs")),
-        verify_batch_sig_jobs(r.counter("crypto.verify_batch.sig_jobs")),
-        verify_batch_vrf_jobs(r.counter("crypto.verify_batch.vrf_jobs")) {}
+        vrf_verify_calls(r.counter("crypto.vrf_verify.calls")) {}
 
   obs::MetricId keygen, keygen_calls;
   obs::MetricId sign, sign_calls;
@@ -36,8 +30,6 @@ struct CryptoMetricIds {
   obs::MetricId vrf_output, vrf_output_calls;
   obs::MetricId verify, verify_calls;
   obs::MetricId vrf_verify, vrf_verify_calls;
-  obs::MetricId verify_batch, verify_batch_calls, verify_batch_jobs;
-  obs::MetricId verify_batch_sig_jobs, verify_batch_vrf_jobs;
 };
 
 class TimedSigner final : public Signer {
@@ -98,23 +90,6 @@ class TimedProvider final : public CryptoProvider {
     registry_.add(ids_.vrf_verify_calls);
     obs::ScopedTimer t(&registry_, ids_.vrf_verify);
     return inner_->vrf_verify(pk, alpha, proof);
-  }
-
-  // Forwarded explicitly so the inner backend's parallel fan-out is reached;
-  // the base-class default would resolve jobs through this wrapper's
-  // per-primitive calls instead.
-  void verify_batch(std::span<const VerifyJob> jobs,
-                    std::span<VerifyVerdict> verdicts) const override {
-    registry_.add(ids_.verify_batch_calls);
-    registry_.add(ids_.verify_batch_jobs, jobs.size());
-    const auto sig_jobs = static_cast<std::uint64_t>(
-        std::count_if(jobs.begin(), jobs.end(), [](const VerifyJob& j) {
-          return j.kind == VerifyJob::Kind::kSignature;
-        }));
-    registry_.add(ids_.verify_batch_sig_jobs, sig_jobs);
-    registry_.add(ids_.verify_batch_vrf_jobs, jobs.size() - sig_jobs);
-    obs::ScopedTimer t(&registry_, ids_.verify_batch);
-    inner_->verify_batch(jobs, verdicts);
   }
 
   const char* name() const override { return inner_->name(); }

@@ -1,6 +1,7 @@
 // Update-history reconstruction, minimal suffixes, and signature checks.
 #include <gtest/gtest.h>
 
+#include "accountnet/core/checkpoint.hpp"
 #include "accountnet/core/history.hpp"
 #include "accountnet/util/ensure.hpp"
 #include "accountnet/util/rng.hpp"
@@ -351,6 +352,84 @@ TEST_F(HistorySuffixVerify, AcceptsValidLeave) {
   lv.out = {pid("x")};
   lv.signature = rep_signer->sign(leave_payload(3, "x"));
   EXPECT_TRUE(verify_history_suffix({lv}, owner, Peerset{}, *provider_));
+}
+
+// --- First failure wins -------------------------------------------------------
+//
+// verify_history_suffix and verify_history_suffix_anchored run one loop that
+// checks entry by entry and stops at the first failing check, so a fault in
+// an earlier entry decides the verdict whatever follows it, and within an
+// entry the checks run in a fixed order.
+
+class HistoryFirstFailure : public HistorySuffixVerify {
+ protected:
+  std::unique_ptr<crypto::Signer> owner_signer_ = provider_->make_signer(Bytes(32, 1));
+  std::unique_ptr<crypto::Signer> cp_signer_ = provider_->make_signer(Bytes(32, 3));
+  PeerId owner_ = make_id("owner", *owner_signer_);
+  PeerId cp_ = make_id("cp", *cp_signer_);
+
+  HistoryEntry shuffle_entry(Round r) const {
+    HistoryEntry e;
+    e.kind = EntryKind::kShuffle;
+    e.self_round = r;
+    e.counterpart = cp_;
+    e.nonce = 10 + r;
+    e.signature = cp_signer_->sign(shuffle_nonce_payload(e.nonce));
+    e.in = {pid("p" + std::to_string(r))};
+    return e;
+  }
+
+  static void forge(HistoryEntry& e) { e.signature.front() ^= 0x01; }
+  void insert_owner(HistoryEntry& e) const { e.in.push_back(owner_); }
+
+  /// The verdict codes of the plain and the checkpoint-anchored verifier.
+  /// The checkpoint seals round 0 with an empty peerset, so every suffix
+  /// entry from round 1 on replays exactly as it does without an anchor.
+  std::pair<VerifyError, VerifyError> codes(const std::vector<HistoryEntry>& suffix) const {
+    Checkpoint ck;
+    ck.owner = owner_;
+    ck.epoch = 1;
+    ck.sealed_count = 1;
+    ck.last_round = 0;
+    ck.owner_sig = owner_signer_->sign(ck.signing_payload());
+    const Peerset claimed = UpdateHistory::reconstruct(suffix);
+    return {verify_history_suffix(suffix, owner_, claimed, *provider_).code,
+            verify_history_suffix_anchored(ck, suffix, owner_, claimed, *provider_).code};
+  }
+};
+
+TEST_F(HistoryFirstFailure, BadSignatureBeforeStructuralFaultReportsSignature) {
+  std::vector<HistoryEntry> suffix = {shuffle_entry(1), shuffle_entry(2), shuffle_entry(3)};
+  forge(suffix[1]);
+  insert_owner(suffix[2]);
+  const auto [plain, anchored] = codes(suffix);
+  EXPECT_EQ(plain, VerifyError::kInvalidShuffleSignature);
+  EXPECT_EQ(anchored, VerifyError::kInvalidShuffleSignature);
+}
+
+TEST_F(HistoryFirstFailure, StructuralFaultBeforeBadSignatureReportsStructure) {
+  std::vector<HistoryEntry> suffix = {shuffle_entry(1), shuffle_entry(2), shuffle_entry(3)};
+  insert_owner(suffix[1]);
+  forge(suffix[2]);
+  const auto [plain, anchored] = codes(suffix);
+  EXPECT_EQ(plain, VerifyError::kOwnerInsertedIntoOwnPeerset);
+  EXPECT_EQ(anchored, VerifyError::kOwnerInsertedIntoOwnPeerset);
+}
+
+TEST_F(HistoryFirstFailure, JoinStampIsCheckedBeforeJoinRemovals) {
+  const auto bn_signer = provider_->make_signer(Bytes(32, 2));
+  HistoryEntry join;
+  join.kind = EntryKind::kJoin;
+  join.self_round = 0;
+  join.counterpart = make_id("bn", *bn_signer);
+  join.signature = bn_signer->sign(join_stamp_payload("someone-else"));  // bad stamp
+  join.out = {pid("x")};                                                 // and removes
+  join.in = {cp_};
+  const auto [plain, anchored] = codes({join, shuffle_entry(1)});
+  EXPECT_EQ(plain, VerifyError::kInvalidJoinStamp);
+  // After a checkpoint every entry must come after the sealed round, so a
+  // round-0 join fails the ordering check before any of its own checks.
+  EXPECT_EQ(anchored, VerifyError::kRoundsNotAscending);
 }
 
 }  // namespace

@@ -118,19 +118,19 @@ TEST_P(SamplerBackendTest, ForgedProofFailsClosedThroughEngineColdAndWarm) {
 
   VerificationEngine engine(*provider_);
   // Honest draw passes through the engine path.
-  EXPECT_TRUE(engine.verify_sample(backend_, signer_->public_key(), candidates, 5,
-                                   kDomain, kNonce, d.proofs, d.sample));
+  EXPECT_TRUE(backend_.verify(engine, signer_->public_key(), candidates, 5, kDomain,
+                              kNonce, d.proofs, d.sample));
 
   std::vector<Bytes> forged = d.proofs;
   ASSERT_FALSE(forged.empty());
   forged.front().front() ^= 0x01;
-  const auto cold = engine.verify_sample(backend_, signer_->public_key(), candidates, 5,
-                                         kDomain, kNonce, forged, d.sample);
+  const auto cold = backend_.verify(engine, signer_->public_key(), candidates, 5,
+                                    kDomain, kNonce, forged, d.sample);
   EXPECT_FALSE(cold);
   EXPECT_EQ(cold.code, VerifyError::kInvalidVrfProof);
   // A repeated pass must not flip the verdict.
-  const auto warm = engine.verify_sample(backend_, signer_->public_key(), candidates, 5,
-                                         kDomain, kNonce, forged, d.sample);
+  const auto warm = backend_.verify(engine, signer_->public_key(), candidates, 5,
+                                    kDomain, kNonce, forged, d.sample);
   EXPECT_FALSE(warm);
   EXPECT_EQ(warm.code, cold.code);
 }

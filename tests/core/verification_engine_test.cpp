@@ -1,5 +1,6 @@
 // VerificationEngine: verdicts must be bit-identical to the pure verification
-// functions across every batch configuration, and no earlier call may change
+// functions, with the same checks reaching the provider, and no earlier call
+// may change
 // a later outcome — forged entries from previously-verified partners,
 // equivocating histories at the same round and truncated replays after trim
 // all fail (or pass) exactly as the provider path does, and a repeated check
@@ -38,11 +39,6 @@ class CountingProvider final : public crypto::CryptoProvider {
       const crypto::PublicKeyBytes& pk, BytesView alpha, BytesView proof) const override {
     ++checks;
     return inner_.vrf_verify(pk, alpha, proof);
-  }
-  void verify_batch(std::span<const crypto::VerifyJob> jobs,
-                    std::span<crypto::VerifyVerdict> verdicts) const override {
-    checks += jobs.size();
-    inner_.verify_batch(jobs, verdicts);
   }
   const char* name() const override { return inner_.name(); }
 
@@ -143,23 +139,14 @@ class VerificationEngineFixture : public ::testing::Test {
   }
 };
 
-// --- Verdict equality across the config grid --------------------------------
+// --- Verdict equality with the provider path --------------------------------
 
 TEST_F(VerificationEngineFixture, VerdictsMatchUncachedAcrossConfigGrid) {
-  VerificationEngine batched(*provider_);  // batch_min = 2
-  VerificationEngine::Config no_batch;
-  no_batch.enable_batch = false;
-  VerificationEngine sequential(*provider_, no_batch);
-  VerificationEngine::Config batch1;
-  batch1.batch_min = 1;  // force every check set through verify_batch
-  VerificationEngine forced_batch(*provider_, batch1);
-  VerificationEngine::Config batch_large;
-  batch_large.batch_min = std::size_t{1} << 20;  // no call is ever this large
-  VerificationEngine never_batched(*provider_, batch_large);
-  VerificationEngine* engines[] = {&batched, &sequential, &forced_batch,
-                                   &never_batched};
+  const CountingProvider direct(*provider_);
+  const CountingProvider through_engine(*provider_);
+  VerificationEngine engine(through_engine);
 
-  // Every exchange is checked four ways before committing, so later rounds
+  // Every exchange is checked both ways before committing, so later rounds
   // replay returning partners against the provider verdict — including
   // offers doctored the same way the harness adversary doctors them.
   for (int round = 0; round < 5; ++round) {
@@ -197,30 +184,24 @@ TEST_F(VerificationEngineFixture, VerdictsMatchUncachedAcrossConfigGrid) {
       }
 
       for (const ShuffleOffer& v : variants) {
-        const VerifyResult want = verify_offer(v, partner, rj, *provider_);
-        for (VerificationEngine* e : engines) {
-          expect_same_verdict(want, verify_offer(v, partner, rj, *e), addr.c_str());
-        }
+        const VerifyResult want = verify_offer(v, partner, rj, direct);
+        expect_same_verdict(want, verify_offer(v, partner, rj, engine), addr.c_str());
       }
 
       const auto response = make_response_and_commit(partner, offer);
-      const VerifyResult want = verify_response(response, *node, offer, *provider_);
+      const VerifyResult want = verify_response(response, *node, offer, direct);
       ASSERT_TRUE(want.ok) << want.reason;
-      for (VerificationEngine* e : engines) {
-        expect_same_verdict(want, verify_response(response, *node, offer, *e),
-                            "response");
-      }
+      expect_same_verdict(want, verify_response(response, *node, offer, engine),
+                          "response");
       apply_offer_outcome(*node, offer, response);
     }
   }
 
-  // The grid is only meaningful if both resolution paths engaged.
-  EXPECT_GT(batched.stats().batch_calls, 0u);
-  EXPECT_GT(forced_batch.stats().batch_calls, batched.stats().batch_calls);
-  EXPECT_EQ(sequential.stats().batch_calls, 0u);
-  EXPECT_EQ(never_batched.stats().batch_calls, 0u);
-  EXPECT_EQ(sequential.stats().sig_misses, batched.stats().sig_misses);
-  EXPECT_EQ(sequential.stats().vrf_misses, batched.stats().vrf_misses);
+  // One implementation: the engine hands the provider exactly the checks the
+  // pure verifiers make, on the doctored variants too, and counts each.
+  EXPECT_GT(engine.stats().history_full, 0u);
+  EXPECT_EQ(through_engine.checks, direct.checks);
+  EXPECT_EQ(engine.stats().sig_misses + engine.stats().vrf_misses, direct.checks);
 }
 
 // --- Returning partners and doctored histories -------------------------------
@@ -337,9 +318,8 @@ TEST_F(VerificationEngineFixture, SampleVerdictsMatchWarmAndCold) {
   const auto want = verify_sample(*provider_, drawer.self().key, candidates, 2,
                                   "an.sample", nonce, draw.proofs, draw.sample);
   for (int pass = 0; pass < 2; ++pass) {  // first, then repeated
-    const auto got = engine.verify_sample(drawer.self().key, candidates, 2,
-                                          "an.sample", nonce, draw.proofs,
-                                          draw.sample);
+    const auto got = verify_sample(engine, drawer.self().key, candidates, 2,
+                                   "an.sample", nonce, draw.proofs, draw.sample);
     expect_same_verdict(want, got, pass == 0 ? "sample" : "sample repeated");
   }
   EXPECT_EQ(engine.stats().vrf_misses, 2 * draw.proofs.size());
@@ -352,8 +332,8 @@ TEST_F(VerificationEngineFixture, SampleVerdictsMatchWarmAndCold) {
                                       "an.sample", nonce, draw.proofs, lied);
   ASSERT_FALSE(want_bad.ok);
   expect_same_verdict(want_bad,
-                      engine.verify_sample(drawer.self().key, candidates, 2,
-                                           "an.sample", nonce, draw.proofs, lied),
+                      verify_sample(engine, drawer.self().key, candidates, 2,
+                                    "an.sample", nonce, draw.proofs, lied),
                       "doctored sample claim");
 }
 

@@ -1,6 +1,7 @@
-// CryptoProvider::verify_batch determinism contract: for both backends and
-// every batch size, batched verdicts are bit-identical to per-primitive
-// verify()/vrf_verify() calls — mixed kinds, mixed validity, betas included.
+// CryptoProvider::verify_batch, the base loop the performance ledger's
+// decorator overrides: for both backends and every batch size, its verdicts
+// are bit-identical to per-primitive verify()/vrf_verify() calls — mixed
+// kinds, mixed validity, betas included.
 #include <gtest/gtest.h>
 
 #include <memory>
