@@ -164,7 +164,7 @@ void BM_ProofSuffix(benchmark::State& state) {
     apply_offer_outcome(*p.a, offer, resp);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(p.a->history().proof_suffix(p.a->peerset()));
+    benchmark::DoNotOptimize(make_history_proof(*p.a));
   }
 }
 BENCHMARK(BM_ProofSuffix);

@@ -8,8 +8,9 @@
 //
 // The out/in/fill fields record the deltas actually applied, so replaying a
 // suffix that covers the last insertion of every current peer reconstructs
-// the peerset exactly; minimal_suffix_length() computes how much history a
-// node must ship (the quantity Fig. 16 measures).
+// the peerset exactly. How much history a node must ship (the quantity
+// Fig. 16 measures) is kept by its NodeState, which records at commit which
+// entry last inserted each current peer (NodeState::proof_span).
 //
 // Signatures are domain-separated by entry kind:
 //   join    — bootstrap signs   "an.join"    ‖ joiner address   (entry stamp)
@@ -102,17 +103,8 @@ class UpdateHistory {
   /// Replays entries (oldest first) from an empty set.
   static Peerset reconstruct(std::span<const HistoryEntry> suffix);
 
-  /// Smallest k such that replaying the last k entries reconstructs
-  /// `current` exactly; returns size()+1 if even the full history falls
-  /// short (possible after trim()).
-  std::size_t minimal_suffix_length(const Peerset& current) const;
-
   /// The last `k` entries, oldest first.
   std::vector<HistoryEntry> suffix(std::size_t k) const;
-
-  /// The suffix a node ships when asked to prove `current` (minimal, or the
-  /// whole retained history if the minimal suffix was trimmed away).
-  std::vector<HistoryEntry> proof_suffix(const Peerset& current) const;
 
   /// Bounds retained length; drops oldest entries beyond `max_entries`.
   void trim(std::size_t max_entries);

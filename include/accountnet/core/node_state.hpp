@@ -2,6 +2,10 @@
 // counter, update history and signing identity. The shuffle/witness engines
 // operate on this state; transport concerns live elsewhere (core/node.hpp for
 // the event-driven actor, harness/ for the synchronous simulation driver).
+//
+// The state also keeps, per current peer, the global index of the history
+// entry that last inserted it (updated in place at every commit), so the
+// length of a history proof (proof_span) takes O(f) and reads no entry.
 #pragma once
 
 #include <memory>
@@ -82,6 +86,19 @@ class NodeState {
   /// Burns a round without a peerset change (failed/aborted shuffle).
   void skip_round();
 
+  /// The entries a history proof of the current peerset ships — the one
+  /// proof rule, which make_history_proof() (shuffle.hpp) copies: the
+  /// minimal suffix whose replay from ∅ reconstructs the peerset (the
+  /// quantity Fig. 16 measures); when trimming cut that suffix, the unsealed
+  /// tail anchored on checkpoint() if one is sealed, else the whole retained
+  /// window. O(f): reads the insertion indices kept at commit, no entry.
+  struct ProofSpan {
+    std::uint64_t first = 0;  ///< Global index of the oldest entry shipped.
+    std::size_t length = 0;   ///< Entries shipped: [first, total_appended()).
+    bool anchored = false;    ///< Replayed from checkpoint() instead of ∅.
+  };
+  ProofSpan proof_span() const;
+
   /// Latest sealed checkpoint (nullopt until checkpoint_interval entries
   /// accumulate, or always when checkpointing is off).
   const std::optional<Checkpoint>& checkpoint() const { return checkpoint_; }
@@ -103,12 +120,20 @@ class NodeState {
   void journal_round();
   void maybe_seal();
   void trim_history();
+  void track_commit(const HistoryEntry& e, const Peerset& next);
+
+  /// No retained or replayed entry inserted the peer (a restored checkpoint
+  /// base): any proof from ∅ must reach past the window.
+  static constexpr std::int64_t kNoEntry = -1;
 
   PeerId self_;
   std::unique_ptr<crypto::Signer> signer_;
   NodeConfig config_;
   Round round_ = 0;
   Peerset peerset_;
+  /// Parallel to peerset_.sorted(): global index of the entry that last
+  /// inserted (in or fill) each current peer, or kNoEntry.
+  std::vector<std::int64_t> inserted_at_;
   UpdateHistory history_;
   std::optional<Checkpoint> checkpoint_;
   HistoryJournal* journal_ = nullptr;

@@ -17,7 +17,10 @@
 // all verifiable draws (sampler.hpp; the configured SamplerBackend) whose
 // proofs travel with the messages; each side re-derives the other's draws
 // from the proofs and reconstructs the other's claimed peerset from its
-// history suffix (history.hpp) before committing anything.
+// history suffix (history.hpp) before committing anything. The suffix is
+// cut by NodeState::proof_span(), which reads the per-peer insertion indices
+// kept at commit instead of walking the history; make_history_proof() is the
+// one builder that copies it.
 #pragma once
 
 #include <optional>
@@ -71,6 +74,21 @@ struct ShuffleResponse {
   static ShuffleResponse decode(BytesView data);
 };
 
+/// A prover's history proof: the entries NodeState::proof_span() names,
+/// copied, plus the sealed checkpoint they replay from when the span is
+/// anchored (see ShuffleOffer::anchor).
+struct HistoryProof {
+  std::vector<HistoryEntry> suffix;
+  std::optional<Checkpoint> anchor;
+};
+HistoryProof make_history_proof(const NodeState& state);
+
+/// Whether make_offer()/make_response_and_commit() copy the history proof
+/// into the message. kOmit leaves history_suffix empty and anchor unset: for
+/// a driver that knows no verifier will read the message (the harness's
+/// unverified exchanges); proof_span() still gives the proof's length.
+enum class ProofMode : bool { kOmit, kBuild };
+
 /// Step 1 (initiator): VRF-select the shuffle partner from the current
 /// peerset. nullopt if the peerset is empty (nothing to shuffle).
 struct PartnerChoice {
@@ -81,7 +99,7 @@ std::optional<PartnerChoice> choose_partner(const NodeState& state);
 
 /// Step 2 (initiator): build the offer after learning (r_j, σ_j(r_j)).
 ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
-                        Round responder_round);
+                        Round responder_round, ProofMode proof_mode = ProofMode::kBuild);
 
 /// Step 3 (responder): full verification of an incoming offer.
 /// `expected_round` is the round number this node handed to the initiator.
@@ -96,7 +114,8 @@ VerifyResult verify_offer(const ShuffleOffer& offer, const NodeState& state,
 
 /// Step 4 (responder): draw B, COMMIT the responder-side update (Algorithm 3)
 /// and return the response to send back.
-ShuffleResponse make_response_and_commit(NodeState& state, const ShuffleOffer& offer);
+ShuffleResponse make_response_and_commit(NodeState& state, const ShuffleOffer& offer,
+                                         ProofMode proof_mode = ProofMode::kBuild);
 
 /// Step 5 (initiator): verify the response against the offer we sent.
 VerifyResult verify_response(const ShuffleResponse& response, const NodeState& state,

@@ -4,13 +4,15 @@
 // every exchange — reconstruction plus one signature/VRF check per entry —
 // which `bench/abl_verification_cost` shows dominates protocol cost. The
 // engine adds no check and skips none: it is a counting
-// crypto::CryptoProvider decorator, and its two history calls forward to the
-// pure functions (core/history, core/checkpoint) with the engine itself as
-// the provider. Sample and witness draws are checked by
-// SamplerBackend::verify with the engine passed as the provider. Every check
-// therefore runs once, in the sequential order the pure verifiers define,
-// through plain verify()/vrf_verify() calls: the code an honest verifier
-// runs is the code a third party re-runs on an accusation.
+// crypto::CryptoProvider decorator, and its history call forwards to the pure
+// function (core/history) with the engine itself as the provider; anchored
+// suffixes go to verify_history_suffix_anchored (core/checkpoint) with the
+// engine as the provider, uncounted by verify.history.full. Sample and
+// witness draws are checked by SamplerBackend::verify with the engine passed
+// as the provider. Every check therefore runs once, in the sequential order
+// the pure verifiers define, through plain verify()/vrf_verify() calls: the
+// code an honest verifier runs is the code a third party re-runs on an
+// accusation.
 //
 // The engine keeps no state between calls, only its counters: a verdict is
 // a function of the call's arguments alone, so no quarantine, eviction or
@@ -37,7 +39,6 @@
 #include <optional>
 #include <vector>
 
-#include "accountnet/core/checkpoint.hpp"
 #include "accountnet/core/history.hpp"
 #include "accountnet/core/peerset.hpp"
 #include "accountnet/core/types.hpp"
@@ -97,14 +98,6 @@ class VerificationEngine final : public crypto::CryptoProvider {
   /// verify_history_suffix() through this engine; counts verify.history.full.
   VerifyResult verify_history(const std::vector<HistoryEntry>& suffix,
                               const PeerId& owner, const Peerset& claimed) const;
-
-  /// verify_history_suffix_anchored() through this engine: the checkpoint
-  /// signature and the per-entry signatures are counted like any other
-  /// check; only the post-checkpoint suffix is replayed.
-  VerifyResult verify_history_anchored(const Checkpoint& ck,
-                                       const std::vector<HistoryEntry>& suffix,
-                                       const PeerId& owner,
-                                       const Peerset& claimed) const;
 
   const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }

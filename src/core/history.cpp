@@ -127,46 +127,10 @@ Peerset UpdateHistory::reconstruct(std::span<const HistoryEntry> suffix) {
   return n;
 }
 
-std::size_t UpdateHistory::minimal_suffix_length(const Peerset& current) const {
-  // A suffix reconstructs `current` exactly iff it covers the most recent
-  // (re)insertion of every current peer; scan backwards tracking coverage.
-  if (current.empty()) return 0;
-  std::size_t covered = 0;
-  std::vector<bool> seen(current.size(), false);
-  auto mark = [&](const PeerId& p) {
-    const auto& sorted = current.sorted();
-    const auto it = std::lower_bound(sorted.begin(), sorted.end(), p);
-    if (it != sorted.end() && *it == p) {
-      const auto idx = static_cast<std::size_t>(it - sorted.begin());
-      if (!seen[idx]) {
-        seen[idx] = true;
-        ++covered;
-      }
-    }
-  };
-  for (std::size_t k = 0; k < entries_.size(); ++k) {
-    const auto& e = entries_[entries_.size() - 1 - k];
-    for (const auto& p : e.in) mark(p);
-    for (const auto& p : e.fill) mark(p);
-    if (covered == current.size()) {
-      // Candidate length k+1; confirm by replaying it in place (removals
-      // could interleave).
-      if (reconstruct(std::span(entries_).last(k + 1)) == current) return k + 1;
-    }
-  }
-  if (reconstruct(entries_) == current) return entries_.size();
-  return entries_.size() + 1;
-}
-
 std::vector<HistoryEntry> UpdateHistory::suffix(std::size_t k) const {
   k = std::min(k, entries_.size());
   return std::vector<HistoryEntry>(entries_.end() - static_cast<std::ptrdiff_t>(k),
                                    entries_.end());
-}
-
-std::vector<HistoryEntry> UpdateHistory::proof_suffix(const Peerset& current) const {
-  const std::size_t k = minimal_suffix_length(current);
-  return suffix(std::min(k, entries_.size()));
 }
 
 void UpdateHistory::trim(std::size_t max_entries) {

@@ -602,12 +602,14 @@ void Node::begin_shuffle() {
   // history — a copy of the real proof suffix whose last shuffle entry admits
   // a fabricated peer. Entry signatures cover only the nonce, so the doctored
   // suffix passes inline verification; it is caught when two body-signed
-  // exchanges show conflicting entries for the same round.
+  // exchanges show conflicting entries for the same round. The doctored claim
+  // replays from ∅, so a checkpoint-anchored proof is left honest.
   std::optional<PendingShuffle::Doctored> doctored;
   if (adversary_.equivocate && (adv_initiations_++ % 2 == 1) &&
       adv_rng_.uniform01() < adversary_.attack_rate) {
     PendingShuffle::Doctored d;
-    d.suffix = state_.history().proof_suffix(state_.peerset());
+    HistoryProof proof = make_history_proof(state_);
+    if (!proof.anchor) d.suffix = std::move(proof.suffix);
     if (!d.suffix.empty() && d.suffix.back().kind != EntryKind::kLeave) {
       d.suffix.back().in.push_back(fabricated_peer(state_.self().addr));
       d.claimed = UpdateHistory::reconstruct(d.suffix).sorted();

@@ -6,6 +6,21 @@
 
 namespace accountnet::core {
 
+namespace {
+
+std::optional<std::size_t> position(const Peerset& set, const PeerId& p) {
+  const auto& sorted = set.sorted();
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), p);
+  if (it == sorted.end() || !(*it == p)) return std::nullopt;
+  return static_cast<std::size_t>(it - sorted.begin());
+}
+
+bool mentions(const std::vector<PeerId>& peers, const PeerId& p) {
+  return std::find(peers.begin(), peers.end(), p) != peers.end();
+}
+
+}  // namespace
+
 NodeState::NodeState(PeerId self, std::unique_ptr<crypto::Signer> signer,
                      NodeConfig config)
     : self_(std::move(self)), signer_(std::move(signer)), config_(config) {
@@ -14,6 +29,7 @@ NodeState::NodeState(PeerId self, std::unique_ptr<crypto::Signer> signer,
   AN_ENSURE_MSG(config_.max_peerset >= config_.shuffle_length,
                 "f must be >= L (cannot exchange more peers than the set holds)");
   AN_ENSURE_MSG(self_.key == signer_->public_key(), "PeerId key must match signer");
+  inserted_at_.reserve(config_.max_peerset);  // commits then never reallocate it
 }
 
 Bytes NodeState::sign_current_round() const {
@@ -41,6 +57,7 @@ void NodeState::apply_join(const PeerId& bootstrap, Bytes entry_stamp,
   }
   journal_entry(e);
   history_.append(std::move(e));
+  track_commit(history_.back(), initial);
   peerset_ = std::move(initial);
   round_ = 1;
   journal_round();
@@ -58,7 +75,10 @@ void NodeState::apply_leave_report(const PeerId& reporter, Round reporter_round,
   e.out.push_back(leaver);
   journal_entry(e);
   history_.append(std::move(e));
-  peerset_.erase(leaver);
+  if (const auto pos = position(peerset_, leaver)) {
+    inserted_at_.erase(inserted_at_.begin() + static_cast<std::ptrdiff_t>(*pos));
+    peerset_.erase(leaver);
+  }
   ++round_;
   journal_round();
   maybe_seal();
@@ -74,11 +94,56 @@ void NodeState::commit_shuffle(HistoryEntry entry, Peerset next_peerset) {
   AN_ENSURE_MSG(next_peerset.size() <= config_.max_peerset, "peerset overflow");
   journal_entry(entry);
   history_.append(std::move(entry));
+  track_commit(history_.back(), next_peerset);
   peerset_ = std::move(next_peerset);
   ++round_;
   journal_round();
   maybe_seal();
   trim_history();
+}
+
+void NodeState::track_commit(const HistoryEntry& e, const Peerset& next) {
+  // Re-aligns inserted_at_ from peerset_ (before the commit) to `next`, in
+  // place: a peer that stays keeps its index, a peer `e` inserts gets e's.
+  const auto at = static_cast<std::int64_t>(history_.total_appended() - 1);
+  const auto& old = peerset_.sorted();
+  const auto& now = next.sorted();
+  // Forward pass: compact the indices of the peers that stay, in order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0, j = 0; i < old.size(); ++i) {
+    while (j < now.size() && now[j] < old[i]) ++j;
+    if (j < now.size() && now[j] == old[i]) inserted_at_[kept++] = inserted_at_[i];
+  }
+  // Backward pass: spread them to their slots in `next`. The stayers are a
+  // subset of `next`, so the slot written is never below the next one read.
+  inserted_at_.resize(now.size());
+  for (std::size_t j = now.size(), i = old.size(); j-- > 0;) {
+    while (i > 0 && now[j] < old[i - 1]) --i;
+    std::int64_t v = kNoEntry;
+    if (i > 0 && old[i - 1] == now[j]) {
+      v = inserted_at_[--kept];
+      --i;
+    }
+    if (mentions(e.in, now[j]) || mentions(e.fill, now[j])) v = at;
+    inserted_at_[j] = v;
+  }
+}
+
+NodeState::ProofSpan NodeState::proof_span() const {
+  const std::uint64_t total = history_.total_appended();
+  auto oldest = static_cast<std::int64_t>(total);
+  for (const std::int64_t at : inserted_at_) oldest = std::min(oldest, at);
+  std::uint64_t first = 0;
+  bool anchored = false;
+  if (oldest >= static_cast<std::int64_t>(history_.first_index())) {
+    first = static_cast<std::uint64_t>(oldest);  // the minimal suffix
+  } else if (checkpoint_) {
+    first = checkpoint_->sealed_count;  // unsealed entries are never trimmed
+    anchored = true;
+  } else {
+    first = history_.first_index();  // degraded: everything retained
+  }
+  return {first, static_cast<std::size_t>(total - first), anchored};
 }
 
 void NodeState::skip_round() {
@@ -155,6 +220,16 @@ void NodeState::restore(const RecoveredNode& rec) {
     peerset_ = std::move(n);
   } else {
     peerset_ = UpdateHistory::reconstruct(rec.entries);
+  }
+  inserted_at_.assign(peerset_.size(), kNoEntry);
+  auto at = static_cast<std::int64_t>(history_.first_index());
+  for (const auto& e : history_.entries()) {
+    for (const auto* added : {&e.in, &e.fill}) {
+      for (const auto& p : *added) {
+        if (const auto pos = position(peerset_, p)) inserted_at_[*pos] = at;
+      }
+    }
+    ++at;
   }
   Round next = rec.next_round;
   if (!history_.empty()) next = std::max(next, history_.back().self_round + 1);

@@ -74,31 +74,15 @@ std::optional<Checkpoint> decode_anchor(wire::Reader& r) {
   return decode_checkpoint(r);
 }
 
-/// Chooses the proof form for a prover's history: the plain minimal suffix
-/// when the retained history still reconstructs the peerset from ∅ (the
-/// historical bytes), or the checkpoint-anchored form — sealed checkpoint
-/// plus only the unsealed tail — when trimming degraded the plain proof.
-struct HistoryProof {
-  std::vector<HistoryEntry> suffix;
-  std::optional<Checkpoint> anchor;
-};
+}  // namespace
 
 HistoryProof make_history_proof(const NodeState& state) {
+  const NodeState::ProofSpan span = state.proof_span();
   HistoryProof proof;
-  const auto& h = state.history();
-  const std::size_t k = h.minimal_suffix_length(state.peerset());
-  if (state.checkpoint() && k > h.size()) {
-    proof.anchor = state.checkpoint();
-    proof.suffix = h.entries_from(
-        proof.anchor->sealed_count,
-        static_cast<std::size_t>(h.total_appended() - proof.anchor->sealed_count));
-  } else {
-    proof.suffix = h.suffix(k);  // proof_suffix() without a second search
-  }
+  proof.suffix = state.history().entries_from(span.first, span.length);
+  if (span.anchored) proof.anchor = state.checkpoint();
   return proof;
 }
-
-}  // namespace
 
 Bytes ShuffleOffer::encode_core() const {
   wire::Writer w;
@@ -202,7 +186,7 @@ std::optional<PartnerChoice> choose_partner(const NodeState& state) {
 }
 
 ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
-                        Round responder_round) {
+                        Round responder_round, ProofMode proof_mode) {
   ShuffleOffer offer;
   offer.initiator = state.self();
   offer.initiator_round = state.round();
@@ -218,9 +202,11 @@ ShuffleOffer make_offer(const NodeState& state, const PartnerChoice& partner,
   offer.sample_proofs = std::move(draw.proofs);
   offer.partner_proofs = partner.proofs;
   offer.claimed_peerset = state.peerset().sorted();
-  HistoryProof proof = make_history_proof(state);
-  offer.history_suffix = std::move(proof.suffix);
-  offer.anchor = std::move(proof.anchor);
+  if (proof_mode == ProofMode::kBuild) {
+    HistoryProof proof = make_history_proof(state);
+    offer.history_suffix = std::move(proof.suffix);
+    offer.anchor = std::move(proof.anchor);
+  }
   return offer;
 }
 
@@ -400,15 +386,18 @@ void apply_update(NodeState& state, const PeerId& counterpart, Round counterpart
   state.commit_shuffle(std::move(e), std::move(next));
 }
 
-ShuffleResponse make_response_and_commit(NodeState& state, const ShuffleOffer& offer) {
+ShuffleResponse make_response_and_commit(NodeState& state, const ShuffleOffer& offer,
+                                         ProofMode proof_mode) {
   ShuffleResponse resp;
   resp.responder = state.self();
   resp.responder_round = state.round();
   resp.responder_round_sig = state.sign_current_round();
   resp.claimed_peerset = state.peerset().sorted();
-  HistoryProof proof = make_history_proof(state);
-  resp.history_suffix = std::move(proof.suffix);
-  resp.anchor = std::move(proof.anchor);
+  if (proof_mode == ProofMode::kBuild) {
+    HistoryProof proof = make_history_proof(state);
+    resp.history_suffix = std::move(proof.suffix);
+    resp.anchor = std::move(proof.anchor);
+  }
 
   // B: L peers drawn from N_j - {v_i}, seeded by the initiator's round.
   const Peerset candidates = state.peerset().minus({offer.initiator});

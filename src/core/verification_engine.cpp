@@ -37,10 +37,4 @@ VerifyResult VerificationEngine::verify_history(const std::vector<HistoryEntry>&
   return verify_history_suffix(suffix, owner, claimed, *this);
 }
 
-VerifyResult VerificationEngine::verify_history_anchored(
-    const Checkpoint& ck, const std::vector<HistoryEntry>& suffix, const PeerId& owner,
-    const Peerset& claimed) const {
-  return verify_history_suffix_anchored(ck, suffix, owner, claimed, *this);
-}
-
 }  // namespace accountnet::core

@@ -522,11 +522,18 @@ void NetworkSim::exec_event(WaveEvent& ev) {
   if (ev.skip) return;
   HarnessNode& hn = *nodes_[ev.idx];
   HarnessNode& partner = *nodes_[ev.pidx];
-  core::ShuffleOffer offer = core::make_offer(*hn.state, ev.choice, ev.rj);
-  const bool attacked = hn.malicious && config_.adversary.any() &&
-                        apply_adversary(hn, offer, ev.choice.partner);
+  // Proofs only where something reads them: the responder's verify, or an
+  // armed adversary, which rewrites the suffix and reads it before drawing
+  // from hn.rng. Fig. 16 samples the suffix as sent (after any truncation),
+  // or, unbuilt, its length under the same rule.
+  const bool armed = hn.malicious && config_.adversary.any();
+  const bool prove = ev.verify || armed;
+  core::ShuffleOffer offer = core::make_offer(
+      *hn.state, ev.choice, ev.rj, prove ? core::ProofMode::kBuild : core::ProofMode::kOmit);
+  const bool attacked = armed && apply_adversary(hn, offer, ev.choice.partner);
   if (attacked) ++ev.scratch.byz_attacks;
-  ev.history_sample = static_cast<double>(offer.history_suffix.size());
+  ev.history_sample = static_cast<double>(prove ? offer.history_suffix.size()
+                                                : hn.state->proof_span().length);
   // Partner leg: verify + commit happen on the responder, so they get their
   // own child span under the initiator's root.
   std::uint64_t respond = 0;
@@ -553,7 +560,8 @@ void NetworkSim::exec_event(WaveEvent& ev) {
       return;
     }
   }
-  const auto response = core::make_response_and_commit(*partner.state, offer);
+  const auto response = core::make_response_and_commit(
+      *partner.state, offer, ev.verify ? core::ProofMode::kBuild : core::ProofMode::kOmit);
   close_span(respond, "committed");
   if (ev.verify) {
     if (const auto v = core::verify_response(response, *hn.state, offer, *hn.engine);

@@ -263,9 +263,10 @@ TEST(CheckpointRegression, TrimmedHistoryVerifiesThroughAnchor) {
   for (std::size_t r = 10; r <= 60 && degraded_addr.empty(); r += 10) {
     const auto probe = make_overlay(*provider, trimmed, kNodes, r);
     for (const auto& [addr, node] : probe) {
+      // Degraded: the whole retained window no longer replays to the peerset.
       if (node->peerset().empty()) continue;
-      if (node->history().minimal_suffix_length(node->peerset()) >
-          node->history().size()) {
+      if (UpdateHistory::reconstruct(make_history_proof(*node).suffix) !=
+          node->peerset()) {
         degraded_addr = addr;
         rounds = r;
         break;

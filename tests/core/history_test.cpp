@@ -1,13 +1,18 @@
 // Update-history reconstruction, minimal suffixes, and signature checks.
+// The MinimalSuffix cases pin the copying reference (test_util.hpp) that
+// NodeState::proof_span() is checked against.
 #include <gtest/gtest.h>
 
 #include "accountnet/core/checkpoint.hpp"
 #include "accountnet/core/history.hpp"
 #include "accountnet/util/ensure.hpp"
 #include "accountnet/util/rng.hpp"
+#include "test_util.hpp"
 
 namespace accountnet::core {
 namespace {
+
+using testing::reference_minimal_suffix;
 
 PeerId pid(const std::string& addr) {
   PeerId p;
@@ -60,7 +65,7 @@ TEST(History, MinimalSuffixCoversOldestCurrentPeer) {
   // Current set {c, d}: entry 1 introduced c, entry 2 introduced d and
   // removed b; suffix (1,2) reconstructs {c,d} exactly.
   const Peerset current({pid("c"), pid("d")});
-  EXPECT_EQ(h.minimal_suffix_length(current), 2u);
+  EXPECT_EQ(reference_minimal_suffix(h, current), 2u);
   EXPECT_EQ(UpdateHistory::reconstruct(h.suffix(2)), current);
 }
 
@@ -69,14 +74,14 @@ TEST(History, MinimalSuffixAccountsForRefills) {
   h.append(shuffle_entry(0, {}, {"a", "b"}));
   h.append(shuffle_entry(1, {"a", "b"}, {"c"}, {"a"}));  // a came back via fill
   const Peerset current({pid("a"), pid("c")});
-  EXPECT_EQ(h.minimal_suffix_length(current), 1u);
+  EXPECT_EQ(reference_minimal_suffix(h, current), 1u);
   EXPECT_EQ(UpdateHistory::reconstruct(h.suffix(1)), current);
 }
 
 TEST(History, MinimalSuffixEmptyPeerset) {
   UpdateHistory h;
   h.append(shuffle_entry(0, {}, {"a"}));
-  EXPECT_EQ(h.minimal_suffix_length(Peerset{}), 0u);
+  EXPECT_EQ(reference_minimal_suffix(h, Peerset{}), 0u);
 }
 
 TEST(History, MinimalSuffixFullHistoryNeeded) {
@@ -84,7 +89,7 @@ TEST(History, MinimalSuffixFullHistoryNeeded) {
   h.append(shuffle_entry(0, {}, {"a"}));
   h.append(shuffle_entry(1, {}, {"b"}));
   const Peerset current({pid("a"), pid("b")});
-  EXPECT_EQ(h.minimal_suffix_length(current), 2u);
+  EXPECT_EQ(reference_minimal_suffix(h, current), 2u);
 }
 
 TEST(History, MinimalSuffixImpossibleAfterTrim) {
@@ -93,28 +98,19 @@ TEST(History, MinimalSuffixImpossibleAfterTrim) {
   h.append(shuffle_entry(1, {}, {"b"}));
   h.trim(1);
   const Peerset current({pid("a"), pid("b")});
-  EXPECT_EQ(h.minimal_suffix_length(current), h.size() + 1);
-  // proof_suffix degrades to everything retained.
-  EXPECT_EQ(h.proof_suffix(current).size(), 1u);
+  EXPECT_EQ(reference_minimal_suffix(h, current), h.size() + 1);
 }
 
-// Copying reference for minimal_suffix_length: the smallest k whose copied
-// suffix replays to `current`, or size() + 1 if none does.
-std::size_t reference_minimal_suffix(const UpdateHistory& h, const Peerset& current) {
-  for (std::size_t k = 0; k <= h.size(); ++k) {
-    if (UpdateHistory::reconstruct(h.suffix(k)) == current) return k;
-  }
-  return h.size() + 1;
-}
-
-// Seeded random histories over a small peer universe, so peers leave and come
-// back (in, then out, then in or fill again) and the claimed peerset is
-// sometimes stale: a peer removed after its last insertion. Every current
-// peer is then inserted within some suffix, yet replaying it comes out
-// short, so the replay step rejects the candidate.
+// Seeded random entries over a small peer universe, committed through
+// NodeState::commit_shuffle with the peerset their deltas give, so peers
+// leave and come back (in, then out, then in or fill again), an entry may
+// remove and re-add one peer, list a peer twice or remove an absent one, and
+// trimming cuts the minimal suffix. After every commit the O(f) proof length
+// must equal the copying reference.
 TEST(History, MinimalSuffixMatchesCopyingReferenceOnRandomHistories) {
+  const auto provider = crypto::make_fast_crypto();
   Rng rng(20260417);
-  std::size_t rejected = 0;
+  std::size_t degraded = 0;
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t universe = 3 + rng.uniform(6);
     const auto random_peers = [&](std::size_t max) {
@@ -125,37 +121,31 @@ TEST(History, MinimalSuffixMatchesCopyingReferenceOnRandomHistories) {
       }
       return out;
     };
-    UpdateHistory h;
+    NodeConfig config;
+    config.max_peerset = 16;
+    config.shuffle_length = 1;
+    config.history_limit = rng.chance(0.3) ? 1 + rng.uniform(6) : 0;
+    auto node = testing::make_node("owner", *provider, config);
+    node->init_as_seed();
     const std::size_t len = rng.uniform(12);
-    for (Round r = 0; r < len; ++r) {
-      h.append(shuffle_entry(r, random_peers(2), random_peers(3), random_peers(1)));
-    }
-    if (rng.chance(0.2)) h.trim(rng.uniform(len + 1));
+    for (std::size_t r = 0; r < len; ++r) {
+      HistoryEntry e = shuffle_entry(node->round(), random_peers(2), random_peers(3),
+                                     random_peers(1));
+      Peerset next = node->peerset();
+      for (const auto& p : e.out) next.erase(p);
+      next.insert_all(e.in);
+      next.insert_all(e.fill);
+      node->commit_shuffle(std::move(e), std::move(next));
 
-    Peerset current = UpdateHistory::reconstruct(h.entries());
-    if (rng.chance(0.3)) {
-      current = UpdateHistory::reconstruct(h.suffix(rng.uniform(len + 1)));
+      const std::size_t want = reference_minimal_suffix(node->history(), node->peerset());
+      const NodeState::ProofSpan span = node->proof_span();
+      ASSERT_EQ(span.length, std::min(want, node->history().size()))
+          << "trial " << trial << " entry " << r;
+      ASSERT_FALSE(span.anchored);
+      if (want > node->history().size()) ++degraded;
     }
-    if (rng.chance(0.3)) current.insert(pid("p" + std::to_string(rng.uniform(universe))));
-    if (rng.chance(0.1)) current = Peerset{};
-
-    const std::size_t want = reference_minimal_suffix(h, current);
-    ASSERT_EQ(h.minimal_suffix_length(current), want) << "trial " << trial;
-    EXPECT_EQ(h.proof_suffix(current), h.suffix(std::min(want, h.size())))
-        << "trial " << trial;
-
-    bool all_inserted = true;
-    for (const auto& p : current.sorted()) {
-      bool inserted = false;
-      for (const auto& e : h.entries()) {
-        for (const auto& q : e.in) inserted = inserted || q == p;
-        for (const auto& q : e.fill) inserted = inserted || q == p;
-      }
-      all_inserted = all_inserted && inserted;
-    }
-    if (!current.empty() && all_inserted && want > h.size()) ++rejected;
   }
-  EXPECT_GT(rejected, 10u);  // the replay step did reject candidates
+  EXPECT_GT(degraded, 10u);  // trimming did cut minimal suffixes
 }
 
 TEST(History, SuffixReturnsNewestEntriesOldestFirst) {

@@ -82,7 +82,7 @@ TEST(Node, ShufflingProgressesAndVerifies) {
   EXPECT_EQ(verification_failures, 0u);
   // Every node's history must reconstruct its live peerset.
   for (auto* n : nodes) {
-    const auto suffix = n->state().history().proof_suffix(n->state().peerset());
+    const auto suffix = make_history_proof(n->state()).suffix;
     EXPECT_EQ(UpdateHistory::reconstruct(suffix), n->state().peerset()) << n->id().addr;
   }
 }

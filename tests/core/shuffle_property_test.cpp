@@ -77,7 +77,7 @@ TEST_P(ShuffleInvariants, HoldAcrossManyRounds) {
   // Invariant 4: every node's minimal proof suffix reconstructs its peerset
   // and passes third-party verification.
   for (auto& [addr, node] : nodes) {
-    const auto suffix = node->history().proof_suffix(node->peerset());
+    const auto suffix = make_history_proof(*node).suffix;
     ASSERT_EQ(UpdateHistory::reconstruct(suffix), node->peerset()) << addr;
     ASSERT_TRUE(
         verify_history_suffix(suffix, node->self(), node->peerset(), *provider_))

@@ -151,7 +151,7 @@ TEST_F(ShuffleFixture, ReconstructionAlwaysMatchesAfterManyShuffles) {
     }
   }
   for (auto& [addr, node] : nodes) {
-    const auto suffix = node->history().proof_suffix(node->peerset());
+    const auto suffix = make_history_proof(*node).suffix;
     EXPECT_EQ(UpdateHistory::reconstruct(suffix), node->peerset()) << addr;
     EXPECT_TRUE(verify_history_suffix(suffix, node->self(), node->peerset(), *provider_))
         << addr;

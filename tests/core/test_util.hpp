@@ -58,4 +58,33 @@ inline std::string run_shuffle_any(NodeState& a, NodeMap& nodes,
   return run_shuffle(a, *it->second, provider);
 }
 
+/// Copying reference for the minimal proof length: the smallest k whose
+/// copied suffix replays from ∅ to `current`, or size() + 1 if none does.
+inline std::size_t reference_minimal_suffix(const UpdateHistory& h,
+                                            const Peerset& current) {
+  for (std::size_t k = 0; k <= h.size(); ++k) {
+    if (UpdateHistory::reconstruct(h.suffix(k)) == current) return k;
+  }
+  return h.size() + 1;
+}
+
+/// The proof make_history_proof() must build, derived by copying: the
+/// reference minimal suffix; when none reconstructs, the unsealed tail
+/// anchored on the checkpoint, else the whole retained window.
+inline HistoryProof reference_proof(const NodeState& state) {
+  const UpdateHistory& h = state.history();
+  const std::size_t k = reference_minimal_suffix(h, state.peerset());
+  HistoryProof proof;
+  if (k <= h.size()) {
+    proof.suffix = h.suffix(k);
+  } else if (state.checkpoint()) {
+    proof.anchor = state.checkpoint();
+    proof.suffix = h.suffix(
+        static_cast<std::size_t>(h.total_appended() - state.checkpoint()->sealed_count));
+  } else {
+    proof.suffix = h.suffix(h.size());
+  }
+  return proof;
+}
+
 }  // namespace accountnet::core::testing

@@ -245,5 +245,60 @@ TEST(ParallelDeterminism, LaunchPhaseCrashChurnDigestPinned) {
   EXPECT_EQ(launch_phase_digest(2), kLaunchPhaseDigest) << "threads 2";
 }
 
+/// The paper-figure drive in miniature: 2% spot verification, so most
+/// exchanges build no history proof, with armed equivocate + truncate_history
+/// adversaries, which need the initiator's proof on every exchange (they
+/// rewrite it, and read it before drawing from their node's rng). Folds the
+/// Fig. 16 samples, the stats and the protocol state.
+std::string spot_verify_digest(std::size_t threads) {
+  harness::ExperimentConfig c;
+  c.network_size = 160;
+  c.f = 5;
+  c.l = 3;
+  c.d = 2;
+  c.pm = 0.2;
+  c.lane_size = 20;
+  c.history_limit = 5;
+  c.verify_fraction = 0.02;
+  c.adversary.equivocate = true;
+  c.adversary.truncate_history = true;
+  c.adversary.attack_rate = 0.5;
+  c.seed = 31;
+  c.threads = threads;
+  harness::NetworkSim net(c);
+  net.run(20, [](std::size_t) {});
+
+  wire::Writer w;
+  const Samples samples = net.take_history_length_samples();
+  w.u64(samples.count());
+  for (const double x : samples.data()) w.u64(static_cast<std::uint64_t>(x));
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    w.u64(net.is_alive(i) ? 1 : 0);
+    w.u64(net.is_joined(i) ? 1 : 0);
+    w.u64(net.is_malicious(i) ? 1 : 0);
+    const auto& st = net.node_state(i);
+    w.u64(st.round());
+    guard_fold_peers(w, st.peerset().sorted());
+  }
+  const auto& s = net.stats();
+  for (const std::uint64_t v :
+       {s.shuffles_attempted, s.shuffles_completed, s.shuffles_verified,
+        s.verification_failures, s.dead_partner_hits, s.leave_reports, s.fault_failures,
+        s.byz_attacks, s.byz_detections, s.byz_quarantines, s.byz_refused_quarantined}) {
+    w.u64(v);
+  }
+  const Bytes bytes = std::move(w).take();
+  return guard_hex(crypto::Sha256::hash(bytes));
+}
+
+// Captured from the build in which every exchange built both proofs.
+constexpr const char* kSpotVerifyDigest =
+    "5e498dc9b2ec3400524fd2f3ee02cffc7b98543eab6fe76a798770ed00e68739";
+
+TEST(ProofsOnDemand, SpotVerifyAdversarySamplesPinned) {
+  EXPECT_EQ(spot_verify_digest(0), kSpotVerifyDigest);
+  EXPECT_EQ(spot_verify_digest(4), kSpotVerifyDigest) << "threads 4";
+}
+
 }  // namespace
 }  // namespace accountnet::testing

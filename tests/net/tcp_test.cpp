@@ -202,8 +202,7 @@ TEST(Tcp, VerifiedShuffleOverRealSockets) {
   EXPECT_EQ(bob_error, "");
   // Both committed: bob now knows alice.
   EXPECT_TRUE(bob->peerset().contains(alice->self()));
-  EXPECT_EQ(core::UpdateHistory::reconstruct(
-                alice->history().proof_suffix(alice->peerset())),
+  EXPECT_EQ(core::UpdateHistory::reconstruct(core::make_history_proof(*alice).suffix),
             alice->peerset());
 }
 
