@@ -62,6 +62,12 @@ void encode_peer(wire::Writer& w, const PeerId& p);
 PeerId decode_peer(wire::Reader& r);
 void encode_entry(wire::Writer& w, const HistoryEntry& e);
 HistoryEntry decode_entry(wire::Reader& r);
+/// Varint-counted lists. Decoding fails closed: a count above 100 000
+/// throws wire::DecodeError before anything is allocated.
+void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers);
+std::vector<PeerId> decode_peer_list(wire::Reader& r);
+void encode_bytes_list(wire::Writer& w, const std::vector<Bytes>& list);
+std::vector<Bytes> decode_bytes_list(wire::Reader& r);
 
 /// Rolling chain digest over an entry sequence, shared by UpdateHistory and
 /// signed checkpoints (checkpoint.hpp):

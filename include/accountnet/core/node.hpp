@@ -6,13 +6,13 @@
 // flooding, witness-group channel establishment, and 1-hop witnessed data
 // relay with the majority-delivery optimization of Sec. VI-B.
 //
-// Malicious behaviour is modelled through the Behavior knobs rather than by
-// forging cryptography (which verification would reject anyway — that is the
-// point of the protocol); the knobs realize the two rational strategies the
-// analysis identifies: follow-the-protocol-but-lie-as-witness, or
-// refuse-and-separate. An AdversaryPolicy (core/adversary.hpp) goes further:
-// it mounts *active* attacks (biased samples, forged/truncated/equivocating
-// histories, relay tamper/drop, testimony lies), and the accountability mode
+// Misbehaviour is modelled by one AdversaryPolicy (core/adversary.hpp) per
+// node rather than by forging cryptography (which verification would reject
+// anyway — that is the point of the protocol). Its flags cover the two
+// rational strategies the analysis identifies — follow the protocol but lie
+// as a witness, or refuse and separate (refuse_shuffles) — and the *active*
+// attacks beyond them (biased samples, forged/truncated/equivocating
+// histories, relay tamper/drop, testimony lies). The accountability mode
 // (Config::accountability) is the machinery that catches them — body-signed
 // messages, signed relay headers/forwards, and a gossiped accuse → quarantine
 // → evict pipeline whose Accusations any third party can re-verify
@@ -98,20 +98,10 @@ class Node {
   struct Config {
     NodeConfig protocol;                     ///< f, L, history limit.
     sim::Duration shuffle_period = sim::seconds(10);
-    double shuffle_jitter_frac = 0.2;        ///< +- fraction of the period.
     std::size_t depth = 2;                   ///< d — neighborhood radius.
     std::size_t witness_count = 4;           ///< |W|.
     bool majority_opt = false;               ///< deliver at |W|/2+1 identical.
     sim::Duration rpc_timeout = sim::seconds(2);
-    sim::Duration neighborhood_wait = sim::milliseconds(400);
-    int failures_before_leave_check = 2;
-
-    // Caps on per-peer bookkeeping (duplicate-query suppression, failure
-    // counts, replay floors, recorded leavers). FIFO eviction past the cap;
-    // see util/bounded.hpp for the forgetting semantics.
-    std::size_t max_seen_queries = 4096;
-    std::size_t max_tracked_partners = 1024;
-    std::size_t max_reported_leavers = 4096;
 
     // Retry policies (docs/RESILIENCE.md). Acked request/reply RPCs retry
     // until the reply lands or attempts run out; "blind" sends (no ack on
@@ -121,10 +111,9 @@ class Node {
     //
     // Defaults reproduce the pre-retry wire behavior bit-for-bit: a single
     // transmission everywhere (a silent peer — e.g. one that has not joined
-    // yet — must not attract retransmissions in a clean run), and the one
-    // historical join retransmission at 8 s. Chaos/soak configs raise the
-    // attempt counts; see bench/chaos_soak.
-    RetryPolicy join_retry{2, sim::seconds(8), 1.0, 0.0};       ///< bootstrap join
+    // yet — must not attract retransmissions in a clean run). The bootstrap
+    // join is fixed at kJoinRetry. Chaos/soak configs raise the attempt
+    // counts; see bench/chaos_soak.
     RetryPolicy query_retry{1, sim::milliseconds(600), 2.0, 0.1};   ///< round/shuffle/testimony/entry
     RetryPolicy channel_retry{1, sim::milliseconds(600), 2.0, 0.1}; ///< request + invites
     RetryPolicy blind_retry{1, sim::milliseconds(400), 2.0, 0.1};   ///< unacked sends
@@ -146,14 +135,6 @@ class Node {
       /// evicted (one valid accusation already quarantines locally; the
       /// threshold guards the stronger, permanent verdict).
       std::size_t evict_threshold = 2;
-      /// Every `audit_period`-th sequence the consumer also spot-checks the
-      /// forwarding witnesses' testimonies against their forwards.
-      std::uint64_t audit_period = 4;
-      /// Consumer audit runs this long after delivery, so straggling
-      /// forwards are not mistaken for omissions.
-      sim::Duration audit_delay = sim::seconds(2);
-      std::size_t max_seen_entries = 4096;  ///< equivocation cross-check cache
-      std::size_t max_accusations = 4096;   ///< gossip dedup cache
     };
     Accountability accountability;
 
@@ -172,19 +153,10 @@ class Node {
       /// SegmentRequests are also served from it once the in-memory window
       /// has been trimmed. May be null (announce/sync only, no persistence).
       HistoryJournal* journal = nullptr;
-      /// Broadcast kCheckpointAnnounce to the current peerset on each seal
-      /// (and, with want_reply, on recovery).
-      bool announce_checkpoints = true;
-      std::size_t max_segment_entries = 64;  ///< per-SegmentData chunk cap
-      std::size_t max_synced_peers = 256;    ///< mirror-state FIFO bound
     };
     Durability durability;
 
-    /// Verification-engine knobs (batching; no setting changes a verdict —
-    /// see core/verification_engine.hpp).
-    VerificationEngine::Config verification;
-
-    /// Active-adversary policy for this node (all-off by default).
+    /// Adversary policy for this node (all-off by default).
     AdversaryPolicy adversary;
   };
 
@@ -194,23 +166,6 @@ class Node {
   struct ConfigDelta {
     std::optional<std::size_t> witness_count;     ///< must be >= 1
     std::optional<bool> majority_opt;
-    std::optional<sim::Duration> shuffle_period;  ///< must be > 0
-    std::optional<double> shuffle_jitter_frac;    ///< must be in [0, 1]
-    std::optional<std::size_t> depth;             ///< must be >= 1
-    std::optional<sim::Duration> rpc_timeout;     ///< must be > 0
-    /// Sampler backend (core/sampler.hpp). Only legal before the node has
-    /// started and committed any round: a mid-epoch swap would orphan every
-    /// proof already in histories and in flight, so update_config throws
-    /// once running() or round() > 0.
-    std::optional<SamplerKind> sampler;
-  };
-
-  /// Behaviour knobs for modelling malicious/misbehaving nodes.
-  struct Behavior {
-    bool refuse_shuffles = false;   ///< never respond to shuffle traffic
-    bool drop_relays = false;       ///< witness: silently drop relayed data
-    bool corrupt_relays = false;    ///< witness: alter payloads when relaying
-    bool lie_in_testimony = false;  ///< witness: log/report a fake digest
   };
 
   /// Point-in-time snapshot of the node's protocol counters. Backed by the
@@ -269,7 +224,7 @@ class Node {
   bool running() const { return running_; }
   bool joined() const { return joined_; }
   /// Terminal join failure: the bootstrap never answered within
-  /// `join_retry.attempts` transmissions. The node stays attached (it can
+  /// `kJoinRetry.attempts` transmissions. The node stays attached (it can
   /// be contacted) but never starts shuffling; also counted as
   /// "node.join_failed" in metrics().
   bool join_failed() const { return join_failed_; }
@@ -282,7 +237,6 @@ class Node {
   }
   Stats stats() const;
   const EvidenceLog& evidence() const { return evidence_; }
-  Behavior& behavior() { return behavior_; }
   AdversaryPolicy& adversary() { return adversary_; }
 
   /// The simulator driving this node's timers (resolver deadlines etc.).
@@ -368,6 +322,21 @@ class Node {
                              EntryCallback cb);
 
  private:
+  // Fixed protocol parameters. No deployment, bench or test varies them, so
+  // they are constants rather than Config fields.
+  static constexpr double kShuffleJitterFrac = 0.2;  ///< +- fraction of the period.
+  static constexpr sim::Duration kNeighborhoodWait = sim::milliseconds(400);
+  static constexpr int kFailuresBeforeLeaveCheck = 2;
+  /// Bootstrap join: the one historical retransmission at 8 s.
+  static constexpr RetryPolicy kJoinRetry{2, sim::seconds(8), 1.0, 0.0};
+  /// Every kAuditPeriod-th sequence the consumer also spot-checks the
+  /// forwarding witnesses' testimonies against their forwards.
+  static constexpr std::uint64_t kAuditPeriod = 4;
+  /// Consumer audit runs this long after delivery, so straggling forwards
+  /// are not mistaken for omissions.
+  static constexpr sim::Duration kAuditDelay = sim::seconds(2);
+  static constexpr std::size_t kMaxSegmentEntries = 64;  ///< per-SegmentData chunk cap
+
   struct PendingShuffle {
     PeerId partner;
     PartnerChoice choice;
@@ -650,13 +619,12 @@ class Node {
   const crypto::CryptoProvider& provider_;
   NodeState state_;
   Config config_;
-  Behavior behavior_;
   Rng rng_;
   obs::MetricsRegistry metrics_;
   MetricIds ids_{metrics_};
-  /// Caching verification front-end over provider_ (declared after metrics_
+  /// Counting verification front-end over provider_ (declared after metrics_
   /// so its counters register into this node's registry).
-  VerificationEngine engine_{provider_, config_.verification, &metrics_};
+  VerificationEngine engine_{provider_, {}, &metrics_};
   EvidenceLog evidence_;
 
   // Causal tracing (null/zero = off, the default).
@@ -684,19 +652,29 @@ class Node {
   Rng retry_rng_;
   std::uint64_t join_rpc_ = 0;
 
+  // Caps on the bounded structures below (duplicate-query suppression,
+  // failure counts, replay floors, recorded leavers, mirror state, gossip
+  // dedup, the equivocation cross-check). FIFO eviction past the cap; see
+  // util/bounded.hpp for the forgetting semantics.
+  static constexpr std::size_t kMaxSeenQueries = 4096;
+  static constexpr std::size_t kMaxTrackedPartners = 1024;
+  static constexpr std::size_t kMaxReportedLeavers = 4096;
+  static constexpr std::size_t kMaxSyncedPeers = 256;    ///< mirror-state FIFO bound
+  static constexpr std::size_t kMaxAccusations = 4096;   ///< gossip dedup cache
+  static constexpr std::size_t kMaxSeenEntries = 4096;   ///< equivocation cross-check cache
+
   // Shuffle state.
   std::optional<PendingShuffle> pending_;
   std::uint64_t shuffle_epoch_ = 0;  ///< invalidates stale timeout events
   std::uint64_t timeout_seq_ = 0;    ///< feeds PendingShuffle::timeout_token
-  BoundedMap<std::string, int> partner_failures_{config_.max_tracked_partners};
-  BoundedMap<std::string, Round> last_seen_initiator_round_{config_.max_tracked_partners};
+  BoundedMap<std::string, int> partner_failures_{kMaxTrackedPartners};
+  BoundedMap<std::string, Round> last_seen_initiator_round_{kMaxTrackedPartners};
   /// Last committed response per initiator, for duplicate-offer retransmit
   /// (an at-least-once initiator may never have seen our first response).
-  BoundedMap<std::string, std::pair<Round, Bytes>> response_cache_{
-      config_.max_tracked_partners};
-  BoundedSet<std::string> reported_leavers_{config_.max_reported_leavers};
+  BoundedMap<std::string, std::pair<Round, Bytes>> response_cache_{kMaxTrackedPartners};
+  BoundedSet<std::string> reported_leavers_{kMaxReportedLeavers};
   /// (channel:seq) relays already logged + forwarded (witness-side dedup).
-  BoundedSet<std::string> relayed_keys_{config_.max_seen_queries};
+  BoundedSet<std::string> relayed_keys_{kMaxSeenQueries};
 
   /// In-flight liveness probe: ours (suspect) or triggered by a LeaveNotice,
   /// in which case the received report is applied on timeout.
@@ -711,7 +689,7 @@ class Node {
 
   // Neighborhood state.
   std::uint64_t next_query_id_ = 1;
-  BoundedSet<std::uint64_t> seen_queries_{config_.max_seen_queries};
+  BoundedSet<std::uint64_t> seen_queries_{kMaxSeenQueries};
   std::optional<NeighborhoodProbe> probe_;
   /// Discovery requests arriving while a probe is in flight wait here.
   std::vector<std::function<void(std::vector<PeerId>)>> probe_queue_;
@@ -744,7 +722,7 @@ class Node {
     std::uint64_t request_id = 0;
     std::optional<Checkpoint> target;
   };
-  BoundedMap<std::string, PeerSyncState> peer_sync_{config_.durability.max_synced_peers};
+  BoundedMap<std::string, PeerSyncState> peer_sync_{kMaxSyncedPeers};
   void request_next_segment(const std::string& addr, PeerSyncState& sync);
   std::uint64_t announced_epoch_ = 0;  ///< last self-seal broadcast
 
@@ -761,7 +739,7 @@ class Node {
   };
   std::unordered_map<std::string, AccusedRecord> accused_;
   /// Accusation digests already processed (gossip dedup / replay floor).
-  BoundedSet<std::string> accusations_seen_{config_.accountability.max_accusations};
+  BoundedSet<std::string> accusations_seen_{kMaxAccusations};
   /// "addr#round" → where the entry first seen from that peer at that round
   /// lives: the signed exchange that carried it (shared by every entry of
   /// that exchange) and its position in that exchange's history suffix. The
@@ -772,8 +750,7 @@ class Node {
     std::shared_ptr<const ExchangeItem> item;
     std::uint32_t index = 0;
   };
-  BoundedMap<std::string, SeenEntry> seen_entries_{
-      config_.accountability.max_seen_entries};
+  BoundedMap<std::string, SeenEntry> seen_entries_{kMaxSeenEntries};
   /// Outstanding accusation-gossip RPCs, keyed "digesthex#peer" so the ack
   /// (which echoes the digest) can cancel the matching retry.
   std::map<std::string, std::uint64_t> accusation_rpcs_;

@@ -76,11 +76,6 @@ class NodeState {
   /// Returns the (reporter_round, signature) pair peers need to record it.
   std::pair<Round, Bytes> make_leave_report(const PeerId& leaver) const;
 
-  /// Pre-start reconfiguration only: Node::update_config() rejects sampler
-  /// swaps once the node is running, but must keep its own config copy and
-  /// this one coherent when a swap is still legal.
-  void set_sampler(SamplerKind kind) { config_.sampler = kind; }
-
   /// Low-level mutators used by the shuffle engine.
   void commit_shuffle(HistoryEntry entry, Peerset next_peerset);
   /// Burns a round without a peerset change (failed/aborted shuffle).

@@ -57,7 +57,6 @@ struct ExperimentConfig {
   MaliciousMode malicious_mode = MaliciousMode::kFollowProtocol;
 
   sim::Duration shuffle_period = sim::seconds(10);
-  double shuffle_jitter_frac = 0.25;
   sim::Duration analysis_period = sim::seconds(10);
 
   /// Launch model: `lane_size` nodes per emulated VM, consecutive launches

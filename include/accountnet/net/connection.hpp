@@ -66,14 +66,11 @@ struct TransportConfig {
 
   std::size_t max_send_queue = 1024;  ///< frames per peer, drop-oldest past this
   std::size_t max_frame_size = kMaxFrameSize;
-  std::size_t max_unidentified = 64;  ///< accepted conns awaiting first envelope
 
-  // Reconnect backoff, the Node retry shape: base·backoff^(attempt-1),
-  // capped at max, jittered ±jitter_frac from the manager's seeded Rng.
+  // Reconnect backoff, the Node retry shape: base·2^(attempt-1), capped at
+  // max, jittered ±10% from the manager's seeded Rng (connection.cpp).
   std::int64_t reconnect_base_us = 200 * 1000;
-  double reconnect_backoff = 2.0;
   std::int64_t reconnect_max_us = 5 * 1000 * 1000;
-  double reconnect_jitter_frac = 0.1;
   int max_dial_attempts = 5;  ///< per queue-draining episode; 0 = unlimited
 };
 

@@ -45,9 +45,6 @@ class JsonLinesSink;
 struct TimeSeriesConfig {
   /// Ring bound: points retained before the oldest is discarded.
   std::size_t capacity = 512;
-  /// Advisory cadence for the driving timer (the scraper itself is
-  /// clock-free); accountnetd's --scrape-interval-ms lands here.
-  std::int64_t interval_us = 1'000'000;
 };
 
 /// One metric's windowed reading at one sample instant.

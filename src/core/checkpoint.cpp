@@ -10,20 +10,6 @@ namespace {
 
 constexpr std::uint64_t kMaxSegmentEntriesWire = 100000;
 
-void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
-  w.varint(peers.size());
-  for (const auto& p : peers) encode_peer(w, p);
-}
-
-std::vector<PeerId> decode_peer_list(wire::Reader& r) {
-  const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("peer list implausibly long");
-  std::vector<PeerId> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_peer(r));
-  return out;
-}
-
 ChainDigest decode_chain(wire::Reader& r) {
   const Bytes b = r.raw(32);
   ChainDigest d;

@@ -42,8 +42,6 @@ PeerId decode_peer(wire::Reader& r) {
   return p;
 }
 
-namespace {
-
 void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
   w.varint(peers.size());
   for (const auto& p : peers) encode_peer(w, p);
@@ -58,7 +56,19 @@ std::vector<PeerId> decode_peer_list(wire::Reader& r) {
   return out;
 }
 
-}  // namespace
+void encode_bytes_list(wire::Writer& w, const std::vector<Bytes>& list) {
+  w.varint(list.size());
+  for (const auto& b : list) w.bytes(b);
+}
+
+std::vector<Bytes> decode_bytes_list(wire::Reader& r) {
+  const auto n = r.varint();
+  if (n > 100000) throw wire::DecodeError("bytes list implausibly long");
+  std::vector<Bytes> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.bytes());
+  return out;
+}
 
 void encode_entry(wire::Writer& w, const HistoryEntry& e) {
   w.u8(static_cast<std::uint8_t>(e.kind));

@@ -10,34 +10,6 @@ namespace accountnet::core {
 
 namespace {
 
-void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
-  w.varint(peers.size());
-  for (const auto& p : peers) encode_peer(w, p);
-}
-
-std::vector<PeerId> decode_peer_list(wire::Reader& r) {
-  const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("peer list implausibly long");
-  std::vector<PeerId> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_peer(r));
-  return out;
-}
-
-void encode_bytes_list(wire::Writer& w, const std::vector<Bytes>& list) {
-  w.varint(list.size());
-  for (const auto& b : list) w.bytes(b);
-}
-
-std::vector<Bytes> decode_bytes_list(wire::Reader& r) {
-  const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("bytes list implausibly long");
-  std::vector<Bytes> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.bytes());
-  return out;
-}
-
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (char c : s) {
@@ -45,31 +17,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::string hex_of(const std::uint8_t* data, std::size_t n) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(n * 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(kHex[data[i] >> 4]);
-    out.push_back(kHex[data[i] & 0x0f]);
-  }
-  return out;
-}
-
-std::string hex_of(const DataDigest& d) { return hex_of(d.data(), d.size()); }
-
-/// A peer identity that exists only in the adversary's doctored history: the
-/// address sorts last ("zz-" prefix keeps real draws mostly unaffected) and
-/// the key is a hash nobody holds the secret for — it can never answer, sign,
-/// or be framed.
-PeerId fabricated_peer(const std::string& owner_addr) {
-  PeerId p;
-  p.addr = "zz-fab-" + owner_addr;
-  const auto digest = crypto::Sha256::hash(bytes_of(p.addr));
-  std::copy(digest.begin(), digest.end(), p.key.begin());
-  return p;
 }
 
 /// An exchange message as sent: its encoded core with the body signature
@@ -174,38 +121,12 @@ Node::Stats Node::stats() const {
 }
 
 void Node::update_config(const ConfigDelta& delta) {
-  // Validate the whole delta before touching anything, so a failed update
-  // leaves the config exactly as it was.
-  if (delta.witness_count) {
-    AN_ENSURE_MSG(*delta.witness_count >= 1, "witness_count must be >= 1");
-  }
-  if (delta.shuffle_period) {
-    AN_ENSURE_MSG(*delta.shuffle_period > 0, "shuffle_period must be positive");
-  }
-  if (delta.shuffle_jitter_frac) {
-    AN_ENSURE_MSG(*delta.shuffle_jitter_frac >= 0.0 && *delta.shuffle_jitter_frac <= 1.0,
-                  "shuffle_jitter_frac must be in [0, 1]");
-  }
-  if (delta.depth) {
-    AN_ENSURE_MSG(*delta.depth >= 1, "depth must be >= 1");
-  }
-  if (delta.rpc_timeout) {
-    AN_ENSURE_MSG(*delta.rpc_timeout > 0, "rpc_timeout must be positive");
-  }
-  if (delta.sampler && *delta.sampler != config_.protocol.sampler) {
-    AN_ENSURE_MSG(!running_ && state_.round() == 0,
-                  "sampler backend cannot change mid-epoch");
-  }
-  if (delta.sampler) {
-    config_.protocol.sampler = *delta.sampler;
-    state_.set_sampler(*delta.sampler);
-  }
+  // Validate before touching anything, so a failed update leaves the config
+  // exactly as it was.
+  AN_ENSURE_MSG(!delta.witness_count || *delta.witness_count >= 1,
+                "witness_count must be >= 1");
   if (delta.witness_count) config_.witness_count = *delta.witness_count;
   if (delta.majority_opt) config_.majority_opt = *delta.majority_opt;
-  if (delta.shuffle_period) config_.shuffle_period = *delta.shuffle_period;
-  if (delta.shuffle_jitter_frac) config_.shuffle_jitter_frac = *delta.shuffle_jitter_frac;
-  if (delta.depth) config_.depth = *delta.depth;
-  if (delta.rpc_timeout) config_.rpc_timeout = *delta.rpc_timeout;
 }
 
 Node::Node(sim::SimNetwork& net, const std::string& addr,
@@ -382,11 +303,11 @@ void Node::start_join(const std::string& bootstrap_addr) {
   join_span_ = trace_begin("join", {});
   trace_attr(join_span_, "bootstrap", bootstrap_addr);
   CtxScope trace(*this, join_span_);
-  // Bounded bootstrap: join_retry.attempts transmissions, then give up for
+  // Bounded bootstrap: kJoinRetry.attempts transmissions, then give up for
   // good. The node stays attached (peers can still reach it) but never
   // starts shuffling — a half-joined zombie is worse than a visible failure.
   join_rpc_ = send_rpc(bootstrap_addr, MsgType::kJoinRequest, std::move(w).take(),
-                       config_.join_retry, [this] {
+                       kJoinRetry, [this] {
                          if (joined_) return;
                          join_failed_ = true;
                          metrics_.add(ids_.join_failed);
@@ -420,7 +341,7 @@ void Node::start_recovered(const RecoveredNode& rec) {
   // announce with want_reply so counterparts answer with *their* latest
   // seals and the catch-up fetches flow both ways.
   announced_epoch_ = state_.checkpoint() ? state_.checkpoint()->epoch : 0;
-  if (durable() && config_.durability.announce_checkpoints && state_.checkpoint()) {
+  if (durable() && state_.checkpoint()) {
     for (const auto& p : state_.peerset().sorted()) {
       if (quarantined_.contains(p.addr)) continue;
       send_checkpoint_announce(p.addr, /*want_reply=*/true);
@@ -585,7 +506,7 @@ void Node::on_join_reply(const sim::NetMessage& msg) {
 
 void Node::schedule_next_shuffle() {
   const auto period = static_cast<double>(config_.shuffle_period);
-  const double jitter = (rng_.uniform01() * 2.0 - 1.0) * config_.shuffle_jitter_frac;
+  const double jitter = (rng_.uniform01() * 2.0 - 1.0) * kShuffleJitterFrac;
   const auto delay = static_cast<sim::Duration>(period * (1.0 + jitter));
   auto alive = alive_;
   net_.simulator().schedule(std::max<sim::Duration>(delay, 1), [this, alive] {
@@ -596,7 +517,7 @@ void Node::schedule_next_shuffle() {
 }
 
 void Node::begin_shuffle() {
-  if (!joined_ || pending_.has_value() || behavior_.refuse_shuffles) return;
+  if (!joined_ || pending_.has_value() || adversary_.refuse_shuffles) return;
 
   // Adversary equivocation: on alternating initiations, present a doctored
   // history — a copy of the real proof suffix whose last shuffle entry admits
@@ -690,7 +611,7 @@ void Node::abort_shuffle(bool partner_suspect) {
   state_.skip_round();
   if (partner_suspect) {
     const int fails = ++partner_failures_.at_or_insert(partner.addr);
-    if (fails >= config_.failures_before_leave_check) {
+    if (fails >= kFailuresBeforeLeaveCheck) {
       partner_failures_.erase(partner.addr);
       suspect_peer(partner);
     }
@@ -698,7 +619,7 @@ void Node::abort_shuffle(bool partner_suspect) {
 }
 
 void Node::on_round_query(const sim::NetMessage& msg) {
-  if (!joined_ || behavior_.refuse_shuffles) return;
+  if (!joined_ || adversary_.refuse_shuffles) return;
   wire::Reader r(msg.payload);
   const PeerId initiator = decode_peer(r);
   r.expect_done();
@@ -748,42 +669,11 @@ void Node::on_round_reply(const sim::NetMessage& msg) {
     o.sample_proofs = draw.proofs;
     metrics_.add(metrics_.counter("adv.attack.equivocate"));
   }
-  if (adversary_.bias_sample && adv_rng_.uniform01() < adversary_.attack_rate) {
-    // Biased (non-VRF) sample: swap a hand-picked member (a colluder if one
-    // is in reach) into the sample while keeping the original proofs. The
-    // responder's proof replay sees a different draw than the one claimed.
-    ShuffleOffer& o = pending_->offer;
-    std::optional<PeerId> sub;
-    for (const auto& p : o.claimed_peerset) {
-      const bool in_sample =
-          std::any_of(o.sample.begin(), o.sample.end(),
-                      [&](const PeerId& s) { return s.addr == p.addr; });
-      if (in_sample || p.addr == pending_->partner.addr ||
-          p.addr == state_.self().addr) {
-        continue;
-      }
-      if (adversary_.colludes_with(p.addr)) {
-        sub = p;
-        break;
-      }
-      if (!sub) sub = p;
-    }
-    if (sub && !o.sample.empty()) {
-      o.sample.front() = *sub;
-      metrics_.add(metrics_.counter("adv.attack.bias_sample"));
-    }
-  }
-  if (adversary_.forge_history && !pending_->offer.history_suffix.empty() &&
-      !pending_->offer.history_suffix.back().signature.empty() &&
-      adv_rng_.uniform01() < adversary_.attack_rate) {
-    // Forged entry: the counterpart signature no longer verifies.
-    pending_->offer.history_suffix.back().signature.front() ^= 0x01;
-    metrics_.add(metrics_.counter("adv.attack.forge_history"));
-  }
-  if (adversary_.truncate_history && !pending_->offer.history_suffix.empty() &&
-      adv_rng_.uniform01() < adversary_.attack_rate) {
-    // Truncated suffix: reconstruction no longer matches the claimed set.
-    pending_->offer.history_suffix.erase(pending_->offer.history_suffix.begin());
+  const OfferAttacks fired = apply_offer_attacks(
+      adversary_, pending_->offer, state_.self(), pending_->partner, adv_rng_);
+  if (fired.bias_sample) metrics_.add(metrics_.counter("adv.attack.bias_sample"));
+  if (fired.forge_history) metrics_.add(metrics_.counter("adv.attack.forge_history"));
+  if (fired.truncate_history) {
     metrics_.add(metrics_.counter("adv.attack.truncate_history"));
   }
   Bytes core = pending_->offer.encode_core();
@@ -808,7 +698,7 @@ void Node::on_shuffle_offer(const sim::NetMessage& msg) {
     w.u8(code);  // 1 = busy, 2 = verification failed
     send(msg.from, MsgType::kShuffleReject, std::move(w).take());
   };
-  if (!joined_ || behavior_.refuse_shuffles) return;
+  if (!joined_ || adversary_.refuse_shuffles) return;
   const ShuffleOffer offer = ShuffleOffer::decode(msg.payload);
   if (offer.initiator.addr != msg.from) return;
   SpanScope span(*this, "shuffle.respond", msg.trace);
@@ -1133,8 +1023,8 @@ void Node::discover_neighborhood(std::function<void(std::vector<PeerId>)> done) 
   }
 
   auto alive = alive_;
-  const auto wait =
-      config_.neighborhood_wait * static_cast<sim::Duration>(std::max<std::size_t>(config_.depth, 1));
+  const auto wait = kNeighborhoodWait *
+                    static_cast<sim::Duration>(std::max<std::size_t>(config_.depth, 1));
   net_.simulator().schedule(wait, [this, alive] {
     if (!*alive || !running_ || !probe_) return;
     std::vector<PeerId> found;
@@ -1213,7 +1103,7 @@ void Node::open_channel(const std::string& consumer_addr, ChannelReadyCallback o
   // bounded window or the channel fails (e.g. a witness died mid-setup).
   auto alive = alive_;
   net_.simulator().schedule(
-      config_.neighborhood_wait * 4 + config_.rpc_timeout * 4, [this, alive, id] {
+      kNeighborhoodWait * 4 + config_.rpc_timeout * 4, [this, alive, id] {
         if (!*alive || !running_) return;
         const auto it = producer_channels_.find(id);
         if (it == producer_channels_.end() || it->second.ready) return;
@@ -1549,25 +1439,16 @@ void Node::on_data_relay(const sim::NetMessage& msg) {
 
   // Witness duty: log evidence, then relay 1 hop to the consumer.
   Bytes logged = payload;
-  if (behavior_.lie_in_testimony || adversary_.lie_in_testimony) {
+  if (adversary_.lie_in_testimony) {
     logged = bytes_of("fabricated-evidence");
-    if (adversary_.lie_in_testimony) {
-      metrics_.add(metrics_.counter("adv.attack.lie_testimony"));
-    }
+    metrics_.add(metrics_.counter("adv.attack.lie_testimony"));
   }
   evidence_.record(state_.signer(), id, seq, logged);
 
-  if (behavior_.drop_relays) {
-    span.attr("outcome", "dropped");
-    return;
-  }
   if (adversary_.drop_relays && adv_rng_.uniform01() < adversary_.attack_rate) {
     metrics_.add(metrics_.counter("adv.attack.drop_relay"));
     span.attr("outcome", "dropped");
     return;
-  }
-  if (behavior_.corrupt_relays) {
-    payload = bytes_of("corrupted-payload");
   }
   if (adversary_.tamper_relays && adv_rng_.uniform01() < adversary_.attack_rate) {
     payload = bytes_of("tampered-payload");
@@ -1978,7 +1859,7 @@ void Node::raise_accusation(Accusation acc) {
     metrics_.add(metrics_.counter("acc.accuse.unprovable"));
     return;
   }
-  const std::string key = hex_of(acc.digest());
+  const std::string key = to_hex(acc.digest());
   if (!accusations_seen_.insert(key)) return;  // already raised
   metrics_.add(metrics_.counter(std::string("acc.accuse.created.") +
                                 accusation_kind_tag(acc.kind)));
@@ -2018,7 +1899,7 @@ void Node::accept_accusation(const Accusation& acc) {
 
 void Node::gossip_accusation(const Accusation& acc, const std::string& skip_addr) {
   const Bytes payload = acc.encode();
-  const std::string dig = hex_of(acc.digest());
+  const std::string dig = to_hex(acc.digest());
   for (const auto& p : state_.peerset().sorted()) {
     if (p.addr == skip_addr || p.addr == acc.accused.addr) continue;
     if (quarantined_.contains(p.addr)) continue;
@@ -2095,7 +1976,7 @@ void Node::start_omission_challenge(Accusation acc) {
 
 void Node::schedule_consumer_audit(std::uint64_t channel_id, std::uint64_t seq) {
   auto alive = alive_;
-  net_.simulator().schedule(config_.accountability.audit_delay,
+  net_.simulator().schedule(kAuditDelay,
                             [this, alive, channel_id, seq] {
                               if (!*alive || !running_) return;
                               run_consumer_audit(channel_id, seq);
@@ -2154,13 +2035,10 @@ void Node::run_consumer_audit(std::uint64_t channel_id, std::uint64_t seq) {
     start_omission_challenge(std::move(acc));
   }
 
-  // (b) Every audit_period-th sequence: spot-check the forwarders' sworn
+  // (b) Every kAuditPeriod-th sequence: spot-check the forwarders' sworn
   // testimonies against what they actually forwarded us (catches the witness
   // that relays faithfully but logs a lie for later disputes).
-  if (config_.accountability.audit_period == 0 ||
-      seq % config_.accountability.audit_period != 0) {
-    return;
-  }
+  if (seq % kAuditPeriod != 0) return;
   for (const auto& w : ch.witnesses) {
     const auto fit = tally.forwards.find(w.addr);
     if (fit == tally.forwards.end() || !fit->second.header_ok) continue;
@@ -2202,7 +2080,7 @@ void Node::on_accusation(const sim::NetMessage& msg) {
     send(msg.from, MsgType::kAccusationAck, std::move(w).take());
   }
   if (!acct()) return;
-  if (!accusations_seen_.insert(hex_of(dig))) return;
+  if (!accusations_seen_.insert(to_hex(dig))) return;
   metrics_.add(metrics_.counter("acc.accuse.received"));
   SpanScope span(*this, "accuse.receive", msg.trace);
   span.attr("kind", accusation_kind_tag(acc.kind));
@@ -2236,7 +2114,7 @@ void Node::on_accusation_ack(const sim::NetMessage& msg) {
   wire::Reader r(msg.payload);
   const Bytes dig = r.bytes();
   r.expect_done();
-  const std::string key = hex_of(dig.data(), dig.size()) + "#" + msg.from;
+  const std::string key = to_hex(dig) + "#" + msg.from;
   const auto it = accusation_rpcs_.find(key);
   if (it == accusation_rpcs_.end()) return;
   finish_rpc(it->second);
@@ -2266,7 +2144,6 @@ void Node::maybe_announce_checkpoint() {
   if (!ck || ck->epoch <= announced_epoch_) return;
   announced_epoch_ = ck->epoch;
   metrics_.add(metrics_.counter("node.ckpt.sealed"));
-  if (!config_.durability.announce_checkpoints) return;
   for (const auto& p : state_.peerset().sorted()) {
     if (acct() && quarantined_.contains(p.addr)) continue;
     send_checkpoint_announce(p.addr, /*want_reply=*/false);
@@ -2288,7 +2165,7 @@ void Node::request_next_segment(const std::string& addr, PeerSyncState& sync) {
   req.start = sync.synced;
   req.end = std::min<std::uint64_t>(
       sync.target->sealed_count,
-      sync.synced + config_.durability.max_segment_entries);
+      sync.synced + kMaxSegmentEntries);
   sync.request_id = req.request_id;
   metrics_.add(metrics_.counter("node.sync.requests"));
   // Bounded retries via the RPC table; a peer that never serves the range
@@ -2345,7 +2222,7 @@ void Node::on_segment_request(const sim::NetMessage& msg) {
   const SegmentRequest req = SegmentRequest::decode(msg.payload);
   if (req.end <= req.start) return;
   const std::uint64_t count = std::min<std::uint64_t>(
-      req.end - req.start, config_.durability.max_segment_entries);
+      req.end - req.start, kMaxSegmentEntries);
   const UpdateHistory& h = state_.history();
   SegmentData seg;
   seg.request_id = req.request_id;
@@ -2391,7 +2268,7 @@ void Node::on_segment_data(const sim::NetMessage& msg) {
   const std::uint64_t end = seg.start + seg.entries.size();
   if (!(seg.server == ck.owner) || seg.start != sync.synced ||
       seg.entries.empty() || end > ck.sealed_count ||
-      seg.entries.size() > config_.durability.max_segment_entries) {
+      seg.entries.size() > kMaxSegmentEntries) {
     abandon("malformed");
     return;
   }

@@ -12,34 +12,6 @@ namespace accountnet::core {
 
 namespace {
 
-void encode_peer_list(wire::Writer& w, const std::vector<PeerId>& peers) {
-  w.varint(peers.size());
-  for (const auto& p : peers) encode_peer(w, p);
-}
-
-std::vector<PeerId> decode_peer_list(wire::Reader& r) {
-  const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("peer list implausibly long");
-  std::vector<PeerId> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(decode_peer(r));
-  return out;
-}
-
-void encode_bytes_list(wire::Writer& w, const std::vector<Bytes>& list) {
-  w.varint(list.size());
-  for (const auto& b : list) w.bytes(b);
-}
-
-std::vector<Bytes> decode_bytes_list(wire::Reader& r) {
-  const auto n = r.varint();
-  if (n > 100000) throw wire::DecodeError("bytes list implausibly long");
-  std::vector<Bytes> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.bytes());
-  return out;
-}
-
 void encode_entries(wire::Writer& w, const std::vector<HistoryEntry>& entries) {
   w.varint(entries.size());
   for (const auto& e : entries) encode_entry(w, e);

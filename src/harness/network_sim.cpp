@@ -6,7 +6,6 @@
 #include "accountnet/core/neighborhood.hpp"
 #include "accountnet/core/node.hpp"
 #include "accountnet/core/witness.hpp"
-#include "accountnet/crypto/sha256.hpp"
 #include "accountnet/storage/node_store.hpp"
 #include "accountnet/util/bytes.hpp"
 #include "accountnet/util/ensure.hpp"
@@ -22,20 +21,13 @@ namespace {
 /// everything) are identical at every thread count.
 constexpr std::size_t kMaxWave = 4096;
 
+/// Each shuffle re-arm lands at the period ± this fraction.
+constexpr double kShuffleJitterFrac = 0.25;
+
 std::string addr_of(std::size_t idx) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "n%06zu", idx);
   return buf;
-}
-
-// Same fabrication scheme as the event-driven adversary: an address that
-// sorts past every real node and a key nobody holds the secret for.
-core::PeerId fabricated_peer(const std::string& owner_addr) {
-  core::PeerId p;
-  p.addr = "zz-fab-" + owner_addr;
-  const auto digest = crypto::Sha256::hash(bytes_of(p.addr));
-  std::copy(digest.begin(), digest.end(), p.key.begin());
-  return p;
 }
 
 }  // namespace
@@ -85,7 +77,7 @@ NetworkSim::NetworkSim(ExperimentConfig config)
     // past and re-arm ordering matches a wave of one exactly.
     rearm_bound_ = std::max<sim::Duration>(
         0, static_cast<sim::Duration>(static_cast<double>(config_.shuffle_period) *
-                                      (1.0 - config_.shuffle_jitter_frac)) -
+                                      (1.0 - kShuffleJitterFrac)) -
                1);
   }
 
@@ -256,55 +248,25 @@ std::size_t NetworkSim::index_of(const core::PeerId& peer) const {
 
 bool NetworkSim::apply_adversary(HarnessNode& hn, core::ShuffleOffer& offer,
                                  const core::PeerId& partner) {
-  // Mirrors the attack block in core::Node::on_round_reply, adapted to the
-  // synchronous exchange: there is no cross-exchange gossip here, so the
-  // equivocating claim is left inconsistent with the (honestly drawn) VRF
-  // proofs and detection runs entirely through the responder's verify path.
+  // Equivocation is adapted to the synchronous exchange: there is no
+  // cross-exchange gossip here, so the equivocating claim is left
+  // inconsistent with the (honestly drawn) VRF proofs and detection runs
+  // entirely through the responder's verify path. The other offer attacks
+  // are core::apply_offer_attacks, the code core::Node runs.
   const core::AdversaryPolicy& adv = config_.adversary;
   bool mutated = false;
   if (adv.equivocate && (hn.adv_initiations++ % 2 == 1) &&
       !offer.history_suffix.empty() &&
       offer.history_suffix.back().kind != core::EntryKind::kLeave &&
       hn.rng.uniform01() < adv.attack_rate) {
-    offer.history_suffix.back().in.push_back(fabricated_peer(hn.state->self().addr));
+    offer.history_suffix.back().in.push_back(core::fabricated_peer(hn.state->self().addr));
     offer.claimed_peerset =
         core::UpdateHistory::reconstruct(offer.history_suffix).sorted();
     mutated = true;
   }
-  if (adv.bias_sample && hn.rng.uniform01() < adv.attack_rate) {
-    // Swap a hand-picked member (a colluder if one is in reach) into the
-    // sample while keeping the original proofs.
-    std::optional<core::PeerId> sub;
-    for (const auto& p : offer.claimed_peerset) {
-      const bool in_sample =
-          std::any_of(offer.sample.begin(), offer.sample.end(),
-                      [&](const core::PeerId& s) { return s.addr == p.addr; });
-      if (in_sample || p.addr == partner.addr || p.addr == hn.state->self().addr) {
-        continue;
-      }
-      if (adv.colludes_with(p.addr)) {
-        sub = p;
-        break;
-      }
-      if (!sub) sub = p;
-    }
-    if (sub && !offer.sample.empty()) {
-      offer.sample.front() = *sub;
-      mutated = true;
-    }
-  }
-  if (adv.forge_history && !offer.history_suffix.empty() &&
-      !offer.history_suffix.back().signature.empty() &&
-      hn.rng.uniform01() < adv.attack_rate) {
-    offer.history_suffix.back().signature.front() ^= 0x01;
-    mutated = true;
-  }
-  if (adv.truncate_history && !offer.history_suffix.empty() &&
-      hn.rng.uniform01() < adv.attack_rate) {
-    offer.history_suffix.erase(offer.history_suffix.begin());
-    mutated = true;
-  }
-  return mutated;
+  const core::OfferAttacks fired =
+      core::apply_offer_attacks(adv, offer, hn.state->self(), partner, hn.rng);
+  return mutated || fired.any();
 }
 
 void NetworkSim::quarantine(HarnessNode& observer, const core::PeerId& accused,
@@ -653,7 +615,7 @@ void NetworkSim::rearm_shuffle_at(std::size_t idx, sim::TimePoint event_when) {
   // event_when; the wave_deadline_ rule guarantees that is still in the
   // future.
   HarnessNode& hn = *nodes_[idx];
-  const double jitter = (hn.rng.uniform01() * 2.0 - 1.0) * config_.shuffle_jitter_frac;
+  const double jitter = (hn.rng.uniform01() * 2.0 - 1.0) * kShuffleJitterFrac;
   const auto delay = static_cast<sim::Duration>(
       static_cast<double>(config_.shuffle_period) * (1.0 + jitter));
   sim_.schedule_at(event_when + std::max<sim::Duration>(delay, 1), [this, idx] {

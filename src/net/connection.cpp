@@ -19,6 +19,10 @@ namespace accountnet::net {
 
 namespace {
 
+constexpr std::size_t kMaxUnidentified = 64;  ///< accepted conns awaiting first envelope
+constexpr double kReconnectBackoff = 2.0;
+constexpr double kReconnectJitterFrac = 0.1;
+
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -107,7 +111,7 @@ void ConnectionManager::on_acceptable() {
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or transient error: back to the loop
-    if (unidentified_ >= config_.max_unidentified) {
+    if (unidentified_ >= kMaxUnidentified) {
       // Accept-flood guard: refuse to hold more anonymous sockets.
       bump("accept_rejected");
       ::close(fd);
@@ -480,10 +484,9 @@ void ConnectionManager::flush(PeerLink& link) {
 
 std::int64_t ConnectionManager::backoff_delay(int attempt) {
   double d = static_cast<double>(config_.reconnect_base_us) *
-             std::pow(config_.reconnect_backoff, std::max(0, attempt - 1));
+             std::pow(kReconnectBackoff, std::max(0, attempt - 1));
   d = std::min(d, static_cast<double>(config_.reconnect_max_us));
-  const double j = config_.reconnect_jitter_frac;
-  if (j > 0.0) d *= 1.0 + (rng_.uniform01() * 2.0 - 1.0) * j;
+  d *= 1.0 + (rng_.uniform01() * 2.0 - 1.0) * kReconnectJitterFrac;
   return std::max<std::int64_t>(1000, static_cast<std::int64_t>(d));
 }
 

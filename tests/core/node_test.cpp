@@ -60,6 +60,12 @@ class NodeNet {
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 
+/// How often `node` mounted the attack counted as "adv.attack.<name>".
+std::uint64_t attacks(const Node& node, const std::string& name) {
+  const auto id = node.metrics().find("adv.attack." + name);
+  return id ? node.metrics().counter_value(*id) : 0;
+}
+
 TEST(Node, JoinEstablishesPeerset) {
   NodeNet nn;
   auto nodes = nn.build(6, sim::seconds(10));
@@ -96,11 +102,15 @@ TEST(Node, SeedGetsPeersThroughResponding) {
 TEST(Node, RefusingNodeDoesNotBlockOthers) {
   NodeNet nn;
   auto nodes = nn.build(8, sim::seconds(5));
-  nodes[3]->behavior().refuse_shuffles = true;
+  nodes[3]->adversary().refuse_shuffles = true;
+  const Node::Stats armed_at = nodes[3]->stats();
   nn.sim_.run_until(nn.sim_.now() + sim::seconds(60));
   std::uint64_t completed = 0;
   for (auto* n : nodes) completed += n->stats().shuffles_completed;
   EXPECT_GT(completed, 10u);
+  // The refusing node neither initiated nor answered a shuffle once armed.
+  EXPECT_EQ(nodes[3]->stats().shuffles_initiated, armed_at.shuffles_initiated);
+  EXPECT_EQ(nodes[3]->stats().shuffles_responded, armed_at.shuffles_responded);
 }
 
 TEST(Node, UngracefulLeaveIsDetectedAndReported) {
@@ -218,13 +228,13 @@ TEST(Node, MajorityOptDeliversDespiteMinorityCorruption) {
 
   // Corrupt a strict minority of witnesses.
   const std::size_t bad = (witnesses.size() - 1) / 2;
-  std::size_t corrupted = 0;
+  std::vector<Node*> corrupted;
   for (auto& up : nn.nodes_) {
-    if (corrupted >= bad) break;
+    if (corrupted.size() >= bad) break;
     for (const auto& w : witnesses) {
       if (up->id().addr == w.addr) {
-        up->behavior().corrupt_relays = true;
-        ++corrupted;
+        up->adversary().tamper_relays = true;
+        corrupted.push_back(up.get());
         break;
       }
     }
@@ -239,6 +249,9 @@ TEST(Node, MajorityOptDeliversDespiteMinorityCorruption) {
   producer->send_data(cid, payload);
   nn.sim_.run_until(nn.sim_.now() + sim::seconds(5));
   EXPECT_EQ(delivered, payload);  // majority of honest copies wins
+  for (const Node* w : corrupted) {
+    EXPECT_GT(attacks(*w, "tamper_relay"), 0u) << w->id().addr;
+  }
 }
 
 TEST(Node, DroppedRelaysStallWithoutOptButMajorityOptDelivers) {
@@ -260,9 +273,12 @@ TEST(Node, DroppedRelaysStallWithoutOptButMajorityOptDelivers) {
     if (witnesses.size() < 3) GTEST_SKIP() << "tiny witness group";
 
     // One witness silently drops everything.
+    Node* dropper = nullptr;
     for (auto& up : nn->nodes_) {
-      if (up->id().addr == witnesses[0].addr) up->behavior().drop_relays = true;
+      if (up->id().addr == witnesses[0].addr) dropper = up.get();
     }
+    ASSERT_NE(dropper, nullptr);
+    dropper->adversary().drop_relays = true;
     bool delivered = false;
     consumer->set_delivery_callback(
         [&](std::uint64_t, std::uint64_t, const Bytes&, const PeerId&) {
@@ -270,6 +286,7 @@ TEST(Node, DroppedRelaysStallWithoutOptButMajorityOptDelivers) {
         });
     producer->send_data(cid, bytes_of("payload"));
     nn->sim_.run_until(nn->sim_.now() + sim::seconds(5));
+    EXPECT_GT(attacks(*dropper, "drop_relay"), 0u);
     if (nn == &with_opt) {
       EXPECT_TRUE(delivered) << "majority opt should mask a dropped relay";
     } else {
@@ -296,13 +313,13 @@ TEST(Node, LyingWitnessTestimonyIsOutvotedAtResolution) {
 
   // A minority of witnesses fabricates testimony in favour of the consumer.
   const std::size_t bad = (witnesses.size() - 1) / 2;
-  std::size_t flipped = 0;
+  std::vector<Node*> flipped;
   for (auto& up : nn.nodes_) {
-    if (flipped >= bad) break;
+    if (flipped.size() >= bad) break;
     for (const auto& w : witnesses) {
       if (up->id().addr == w.addr) {
-        up->behavior().lie_in_testimony = true;
-        ++flipped;
+        up->adversary().lie_in_testimony = true;
+        flipped.push_back(up.get());
         break;
       }
     }
@@ -311,6 +328,9 @@ TEST(Node, LyingWitnessTestimonyIsOutvotedAtResolution) {
   const Bytes truth = bytes_of("true-inference-result");
   producer->send_data(cid, truth);
   nn.sim_.run_until(nn.sim_.now() + sim::seconds(5));
+  for (const Node* w : flipped) {
+    EXPECT_GT(attacks(*w, "lie_testimony"), 0u) << w->id().addr;
+  }
 
   // Resolver collects testimonies from the full group.
   std::vector<Testimony> testimonies;

@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "accountnet/core/adversary.hpp"
 #include "accountnet/core/history.hpp"
 #include "accountnet/core/verification_engine.hpp"
-#include "accountnet/crypto/sha256.hpp"
 #include "accountnet/util/bytes.hpp"
 #include "test_util.hpp"
 
@@ -47,14 +47,6 @@ class CountingProvider final : public crypto::CryptoProvider {
  private:
   const crypto::CryptoProvider& inner_;
 };
-
-PeerId fabricated_peer(const std::string& tag) {
-  PeerId p;
-  p.addr = "zz-fab-" + tag;
-  const auto digest = crypto::Sha256::hash(bytes_of(p.addr));
-  std::copy(digest.begin(), digest.end(), p.key.begin());
-  return p;
-}
 
 void expect_same_verdict(const VerifyResult& want, const VerifyResult& got,
                          const char* what) {

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     if (corrupted >= bad_witnesses) break;
     for (const auto& w : witnesses) {
       if (n->id().addr == w.addr) {
-        n->behavior().lie_in_testimony = true;
+        n->adversary().lie_in_testimony = true;
         std::printf("witness %s will fabricate testimony\n", w.addr.c_str());
         ++corrupted;
         break;
