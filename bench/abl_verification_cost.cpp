@@ -10,6 +10,7 @@
 // counterpart signature checked one by one. Emits BENCH_verify.json
 // (JSON-lines, one row per backend × suffix length) with the per-entry cost
 // the CI chaos job tracks.
+#include <algorithm>
 #include <chrono>
 
 #include "accountnet/core/select.hpp"
@@ -97,7 +98,9 @@ EngineRow measure_engine(bool real, std::size_t target_entries, std::size_t iter
   World w(real, seed);
   w.grow_history(target_entries);
   NodeState& node = *w.all[1];
-  const auto suffix = node.history().suffix(target_entries);
+  const UpdateHistory& h = node.history();
+  const std::size_t k = std::min(target_entries, h.size());
+  const auto suffix = h.entries_from(h.total_appended() - k, k);
   const Peerset claimed = UpdateHistory::reconstruct(suffix);
 
   const VerificationEngine engine(*w.provider);

@@ -7,6 +7,7 @@
 // metric; see docs/OBSERVABILITY.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "accountnet/core/shuffle.hpp"
@@ -144,7 +145,9 @@ void BM_HistoryReconstruct(benchmark::State& state) {
     const auto resp = make_response_and_commit(*partner, offer);
     apply_offer_outcome(*p.a, offer, resp);
   }
-  const auto suffix = p.a->history().suffix(static_cast<std::size_t>(state.range(0)));
+  const UpdateHistory& h = p.a->history();
+  const std::size_t k = std::min(static_cast<std::size_t>(state.range(0)), h.size());
+  const auto suffix = h.entries_from(h.total_appended() - k, k);
   for (auto _ : state) {
     benchmark::DoNotOptimize(UpdateHistory::reconstruct(suffix));
   }

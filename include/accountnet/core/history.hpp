@@ -78,14 +78,19 @@ using ChainDigest = std::array<std::uint8_t, 32>;
 ChainDigest entry_digest(const HistoryEntry& e);
 ChainDigest chain_step(const ChainDigest& prev, const ChainDigest& entry);
 
+/// Ω_i, stored as the encode_entry() bytes of each retained entry — the
+/// bytes entry_digest() hashes and the chain commits to — in one buffer.
+/// Readers decode on demand.
 class UpdateHistory {
  public:
-  void append(HistoryEntry entry);
+  /// Encodes `entry` once into the store and folds those bytes into chain().
+  void append(const HistoryEntry& entry);
 
-  const std::vector<HistoryEntry>& entries() const { return entries_; }
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  const HistoryEntry& back() const;
+  /// Retained entries: total_appended() - first_index().
+  std::size_t size() const { return offsets_.size() - head_; }
+  bool empty() const { return size() == 0; }
+  /// self_round of the newest retained entry; the history must not be empty.
+  Round last_round() const;
 
   /// Rolling chain over *every* entry ever appended (trim-independent).
   const ChainDigest& chain() const { return chain_; }
@@ -94,7 +99,7 @@ class UpdateHistory {
   const ChainDigest& base_chain() const { return base_chain_; }
 
   /// Global index of the oldest retained entry == number of entries trimmed
-  /// away so far. entries()[i] has global index first_index() + i.
+  /// away so far.
   std::uint64_t first_index() const { return trim_count_; }
 
   /// Chain over the first `index` entries ever appended. `index` must lie in
@@ -103,14 +108,20 @@ class UpdateHistory {
   ChainDigest chain_at(std::uint64_t index) const;
 
   /// Up to `count` retained entries starting at global index `index`
-  /// (oldest first); empty if `index` precedes the retained window.
+  /// (oldest first), decoded; empty if `index` lies outside the retained
+  /// window.
   std::vector<HistoryEntry> entries_from(std::uint64_t index, std::size_t count) const;
+
+  /// The stored encode_entry() bytes of the retained entry at global index
+  /// `index`; valid until the next append() or trim().
+  BytesView entry_bytes(std::uint64_t index) const;
+
+  /// Global index of the retained entry made at `round`, if any. Rounds are
+  /// strictly ascending, so this is a binary search.
+  std::optional<std::uint64_t> find_round(Round round) const;
 
   /// Replays entries (oldest first) from an empty set.
   static Peerset reconstruct(std::span<const HistoryEntry> suffix);
-
-  /// The last `k` entries, oldest first.
-  std::vector<HistoryEntry> suffix(std::size_t k) const;
 
   /// Bounds retained length; drops oldest entries beyond `max_entries`.
   void trim(std::size_t max_entries);
@@ -123,10 +134,18 @@ class UpdateHistory {
   /// are the retained window, oldest first. chain() is re-derived by folding
   /// the window onto `base`.
   static UpdateHistory restore(const ChainDigest& base, std::uint64_t first_index,
-                               std::vector<HistoryEntry> entries);
+                               std::span<const HistoryEntry> entries);
 
  private:
-  std::vector<HistoryEntry> entries_;
+  /// Bytes of offsets_[slot]'s entry.
+  BytesView stored(std::size_t slot) const;
+  Round round_at(std::size_t slot) const;
+
+  Bytes bytes_;                       ///< encode_entry() of each entry, back to back.
+  std::vector<std::size_t> offsets_;  ///< Where each entry starts in bytes_.
+  /// offsets_[0, head_) are trimmed entries whose bytes still lead bytes_;
+  /// trim() compacts them once they are as many as the retained ones.
+  std::size_t head_ = 0;
   std::uint64_t total_appended_ = 0;
   std::uint64_t trim_count_ = 0;
   ChainDigest chain_{};       ///< Over all total_appended_ entries.

@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "accountnet/util/bytes.hpp"
 
@@ -22,6 +23,8 @@ class DecodeError : public std::runtime_error {
 class Writer {
  public:
   Writer() = default;
+  /// Appends after the bytes already in `buf`.
+  explicit Writer(Bytes buf) : buf_(std::move(buf)) {}
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
@@ -56,6 +59,11 @@ class Reader {
   std::string str();
   /// Reads exactly n raw bytes.
   Bytes raw(std::size_t n);
+  /// Reads exactly n raw bytes as a view into the input, without copying;
+  /// the view lives as long as the input does.
+  BytesView view(std::size_t n);
+  /// bytes() as a view into the input, without copying.
+  BytesView bytes_view();
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }

@@ -37,7 +37,7 @@ void encode_peer(wire::Writer& w, const PeerId& p) {
 PeerId decode_peer(wire::Reader& r) {
   PeerId p;
   p.addr = r.str();
-  const Bytes key = r.raw(32);
+  const BytesView key = r.view(32);
   std::copy(key.begin(), key.end(), p.key.begin());
   return p;
 }
@@ -91,7 +91,9 @@ HistoryEntry decode_entry(wire::Reader& r) {
   e.counterpart = decode_peer(r);
   e.nonce = r.u64();
   e.signature = r.bytes();
-  e.initiated = r.u8() != 0;
+  const auto initiated = r.u8();
+  if (initiated > 1) throw wire::DecodeError("bad initiated flag");
+  e.initiated = initiated == 1;
   e.out = decode_peer_list(r);
   e.in = decode_peer_list(r);
   e.fill = decode_peer_list(r);
@@ -112,19 +114,34 @@ ChainDigest chain_step(const ChainDigest& prev, const ChainDigest& entry) {
   return h.finish();
 }
 
-void UpdateHistory::append(HistoryEntry entry) {
-  if (!entries_.empty()) {
-    AN_ENSURE_MSG(entry.self_round > entries_.back().self_round,
+void UpdateHistory::append(const HistoryEntry& entry) {
+  if (!empty()) {
+    AN_ENSURE_MSG(entry.self_round > last_round(),
                   "history rounds must be strictly ascending");
   }
-  chain_ = chain_step(chain_, entry_digest(entry));
-  entries_.push_back(std::move(entry));
+  const std::size_t start = bytes_.size();
+  wire::Writer w(std::move(bytes_));
+  encode_entry(w, entry);
+  bytes_ = std::move(w).take();
+  offsets_.push_back(start);
+  chain_ = chain_step(chain_, crypto::Sha256::hash(stored(offsets_.size() - 1)));
   ++total_appended_;
 }
 
-const HistoryEntry& UpdateHistory::back() const {
-  AN_ENSURE_MSG(!entries_.empty(), "history is empty");
-  return entries_.back();
+BytesView UpdateHistory::stored(std::size_t slot) const {
+  const std::size_t end = slot + 1 < offsets_.size() ? offsets_[slot + 1] : bytes_.size();
+  return BytesView(bytes_).subspan(offsets_[slot], end - offsets_[slot]);
+}
+
+Round UpdateHistory::round_at(std::size_t slot) const {
+  wire::Reader r(stored(slot));
+  r.u8();  // kind; self_round follows it (encode_entry)
+  return r.u64();
+}
+
+Round UpdateHistory::last_round() const {
+  AN_ENSURE_MSG(!empty(), "history is empty");
+  return round_at(offsets_.size() - 1);
 }
 
 Peerset UpdateHistory::reconstruct(std::span<const HistoryEntry> suffix) {
@@ -137,52 +154,80 @@ Peerset UpdateHistory::reconstruct(std::span<const HistoryEntry> suffix) {
   return n;
 }
 
-std::vector<HistoryEntry> UpdateHistory::suffix(std::size_t k) const {
-  k = std::min(k, entries_.size());
-  return std::vector<HistoryEntry>(entries_.end() - static_cast<std::ptrdiff_t>(k),
-                                   entries_.end());
-}
-
 void UpdateHistory::trim(std::size_t max_entries) {
-  if (entries_.size() > max_entries) {
-    const std::size_t drop = entries_.size() - max_entries;
-    for (std::size_t i = 0; i < drop; ++i) {
-      base_chain_ = chain_step(base_chain_, entry_digest(entries_[i]));
-    }
-    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(drop));
-    trim_count_ += drop;
+  if (size() <= max_entries) return;
+  const std::size_t drop = size() - max_entries;
+  for (std::size_t i = 0; i < drop; ++i) {
+    base_chain_ = chain_step(base_chain_, crypto::Sha256::hash(stored(head_ + i)));
   }
+  head_ += drop;
+  trim_count_ += drop;
+  // Compact once as many entries are trimmed as retained: each compaction
+  // moves no more entries than were trimmed since the last one, so trimming
+  // one entry per append costs amortised O(1).
+  if (head_ < size()) return;
+  const std::size_t cut = head_ < offsets_.size() ? offsets_[head_] : bytes_.size();
+  bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(cut));
+  offsets_.erase(offsets_.begin(), offsets_.begin() + static_cast<std::ptrdiff_t>(head_));
+  for (auto& o : offsets_) o -= cut;
+  head_ = 0;
 }
 
 ChainDigest UpdateHistory::chain_at(std::uint64_t index) const {
   AN_ENSURE_MSG(index >= trim_count_ && index <= total_appended_,
                 "chain_at index outside the retained window");
   ChainDigest c = base_chain_;
-  for (std::uint64_t i = trim_count_; i < index; ++i) {
-    c = chain_step(c, entry_digest(entries_[static_cast<std::size_t>(i - trim_count_)]));
+  const auto end = head_ + static_cast<std::size_t>(index - trim_count_);
+  for (std::size_t slot = head_; slot < end; ++slot) {
+    c = chain_step(c, crypto::Sha256::hash(stored(slot)));
   }
   return c;
 }
 
 UpdateHistory UpdateHistory::restore(const ChainDigest& base, std::uint64_t first_index,
-                                     std::vector<HistoryEntry> entries) {
+                                     std::span<const HistoryEntry> entries) {
   UpdateHistory h;
   h.base_chain_ = base;
   h.chain_ = base;
   h.trim_count_ = first_index;
   h.total_appended_ = first_index;
-  for (auto& e : entries) h.append(std::move(e));
+  for (const auto& e : entries) h.append(e);
   return h;
 }
 
 std::vector<HistoryEntry> UpdateHistory::entries_from(std::uint64_t index,
                                                       std::size_t count) const {
   if (index < trim_count_ || index >= total_appended_) return {};
-  const auto offset = static_cast<std::size_t>(index - trim_count_);
-  const std::size_t n = std::min(count, entries_.size() - offset);
-  return std::vector<HistoryEntry>(
-      entries_.begin() + static_cast<std::ptrdiff_t>(offset),
-      entries_.begin() + static_cast<std::ptrdiff_t>(offset + n));
+  const std::size_t first = head_ + static_cast<std::size_t>(index - trim_count_);
+  const std::size_t n = std::min(count, offsets_.size() - first);
+  std::vector<HistoryEntry> out;
+  out.reserve(n);
+  for (std::size_t slot = first; slot < first + n; ++slot) {
+    wire::Reader r(stored(slot));
+    out.push_back(decode_entry(r));
+  }
+  return out;
+}
+
+BytesView UpdateHistory::entry_bytes(std::uint64_t index) const {
+  AN_ENSURE_MSG(index >= trim_count_ && index < total_appended_,
+                "entry_bytes index outside the retained window");
+  return stored(head_ + static_cast<std::size_t>(index - trim_count_));
+}
+
+std::optional<std::uint64_t> UpdateHistory::find_round(Round round) const {
+  std::size_t lo = head_;
+  std::size_t hi = offsets_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (round_at(mid) < round) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == offsets_.size() || round_at(lo) != round) return std::nullopt;
+  return trim_count_ + (lo - head_);
 }
 
 VerifyResult verify_history_from(const std::vector<HistoryEntry>& suffix,

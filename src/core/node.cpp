@@ -2440,17 +2440,12 @@ void Node::on_entry_query(const sim::NetMessage& msg) {
   const std::uint64_t request = r.u64();
   const Round round = r.u64();
   r.expect_done();
+  const UpdateHistory& h = state_.history();
+  const std::optional<std::uint64_t> at = h.find_round(round);
   wire::Writer w;
   w.u64(request);
-  const HistoryEntry* found = nullptr;
-  for (const auto& e : state_.history().entries()) {
-    if (e.self_round == round) {
-      found = &e;
-      break;
-    }
-  }
-  w.u8(found != nullptr ? 1 : 0);
-  if (found != nullptr) encode_entry(w, *found);
+  w.u8(at ? 1 : 0);
+  if (at) w.raw(h.entry_bytes(*at));
   send(msg.from, MsgType::kEntryReply, std::move(w).take());
 }
 

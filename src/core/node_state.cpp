@@ -56,8 +56,8 @@ void NodeState::apply_join(const PeerId& bootstrap, Bytes entry_stamp,
     if (initial.insert(p)) e.in.push_back(p);
   }
   journal_entry(e);
-  history_.append(std::move(e));
-  track_commit(history_.back(), initial);
+  history_.append(e);
+  track_commit(e, initial);
   peerset_ = std::move(initial);
   round_ = 1;
   journal_round();
@@ -74,7 +74,7 @@ void NodeState::apply_leave_report(const PeerId& reporter, Round reporter_round,
   e.signature = std::move(signature);
   e.out.push_back(leaver);
   journal_entry(e);
-  history_.append(std::move(e));
+  history_.append(e);
   if (const auto pos = position(peerset_, leaver)) {
     inserted_at_.erase(inserted_at_.begin() + static_cast<std::ptrdiff_t>(*pos));
     peerset_.erase(leaver);
@@ -93,8 +93,8 @@ void NodeState::commit_shuffle(HistoryEntry entry, Peerset next_peerset) {
   AN_ENSURE_MSG(entry.self_round == round_, "shuffle entry round mismatch");
   AN_ENSURE_MSG(next_peerset.size() <= config_.max_peerset, "peerset overflow");
   journal_entry(entry);
-  history_.append(std::move(entry));
-  track_commit(history_.back(), next_peerset);
+  history_.append(entry);
+  track_commit(entry, next_peerset);
   peerset_ = std::move(next_peerset);
   ++round_;
   journal_round();
@@ -167,7 +167,7 @@ void NodeState::maybe_seal() {
   ck.owner = self_;
   ck.epoch = checkpoint_ ? checkpoint_->epoch + 1 : 1;
   ck.sealed_count = history_.total_appended();
-  ck.last_round = history_.back().self_round;
+  ck.last_round = history_.last_round();
   ck.chain = history_.chain();
   ck.peerset = peerset_.sorted();
   ck.owner_sig = signer_->sign(ck.signing_payload());
@@ -223,7 +223,7 @@ void NodeState::restore(const RecoveredNode& rec) {
   }
   inserted_at_.assign(peerset_.size(), kNoEntry);
   auto at = static_cast<std::int64_t>(history_.first_index());
-  for (const auto& e : history_.entries()) {
+  for (const auto& e : history_.entries_from(history_.first_index(), history_.size())) {
     for (const auto* added : {&e.in, &e.fill}) {
       for (const auto& p : *added) {
         if (const auto pos = position(peerset_, p)) inserted_at_[*pos] = at;
@@ -232,7 +232,7 @@ void NodeState::restore(const RecoveredNode& rec) {
     ++at;
   }
   Round next = rec.next_round;
-  if (!history_.empty()) next = std::max(next, history_.back().self_round + 1);
+  if (!history_.empty()) next = std::max(next, history_.last_round() + 1);
   round_ = next;
 }
 

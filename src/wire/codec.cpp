@@ -87,22 +87,31 @@ std::uint64_t Reader::varint() {
 }
 
 Bytes Reader::bytes() {
-  const std::uint64_t n = varint();
-  if (n > remaining()) throw DecodeError("wire: byte-string length exceeds input");
-  return raw(static_cast<std::size_t>(n));
+  const BytesView v = bytes_view();
+  return Bytes(v.begin(), v.end());
 }
 
 std::string Reader::str() {
-  const Bytes b = bytes();
-  return std::string(b.begin(), b.end());
+  const BytesView v = bytes_view();
+  return std::string(v.begin(), v.end());
 }
 
 Bytes Reader::raw(std::size_t n) {
+  const BytesView v = view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+BytesView Reader::view(std::size_t n) {
   need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+BytesView Reader::bytes_view() {
+  const std::uint64_t n = varint();
+  if (n > remaining()) throw DecodeError("wire: byte-string length exceeds input");
+  return view(static_cast<std::size_t>(n));
 }
 
 std::uint8_t Reader::peek_u8() const {

@@ -3,6 +3,10 @@
 // NodeState::proof_span() is checked against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "accountnet/core/checkpoint.hpp"
 #include "accountnet/core/history.hpp"
 #include "accountnet/util/ensure.hpp"
@@ -66,7 +70,7 @@ TEST(History, MinimalSuffixCoversOldestCurrentPeer) {
   // removed b; suffix (1,2) reconstructs {c,d} exactly.
   const Peerset current({pid("c"), pid("d")});
   EXPECT_EQ(reference_minimal_suffix(h, current), 2u);
-  EXPECT_EQ(UpdateHistory::reconstruct(h.suffix(2)), current);
+  EXPECT_EQ(UpdateHistory::reconstruct(testing::newest(h, 2)), current);
 }
 
 TEST(History, MinimalSuffixAccountsForRefills) {
@@ -75,7 +79,7 @@ TEST(History, MinimalSuffixAccountsForRefills) {
   h.append(shuffle_entry(1, {"a", "b"}, {"c"}, {"a"}));  // a came back via fill
   const Peerset current({pid("a"), pid("c")});
   EXPECT_EQ(reference_minimal_suffix(h, current), 1u);
-  EXPECT_EQ(UpdateHistory::reconstruct(h.suffix(1)), current);
+  EXPECT_EQ(UpdateHistory::reconstruct(testing::newest(h, 1)), current);
 }
 
 TEST(History, MinimalSuffixEmptyPeerset) {
@@ -151,11 +155,12 @@ TEST(History, MinimalSuffixMatchesCopyingReferenceOnRandomHistories) {
 TEST(History, SuffixReturnsNewestEntriesOldestFirst) {
   UpdateHistory h;
   for (Round r = 0; r < 5; ++r) h.append(shuffle_entry(r, {}, {"p" + std::to_string(r)}));
-  const auto s = h.suffix(2);
+  const auto s = h.entries_from(h.total_appended() - 2, 2);
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s[0].self_round, 3u);
   EXPECT_EQ(s[1].self_round, 4u);
-  EXPECT_EQ(h.suffix(99).size(), 5u);
+  EXPECT_EQ(h.entries_from(0, 99).size(), 5u);
+  EXPECT_TRUE(h.entries_from(5, 1).empty());
 }
 
 TEST(History, TrimDropsOldest) {
@@ -163,7 +168,8 @@ TEST(History, TrimDropsOldest) {
   for (Round r = 0; r < 10; ++r) h.append(shuffle_entry(r, {}, {}));
   h.trim(3);
   ASSERT_EQ(h.size(), 3u);
-  EXPECT_EQ(h.entries().front().self_round, 7u);
+  EXPECT_EQ(h.entries_from(h.first_index(), 1).front().self_round, 7u);
+  EXPECT_TRUE(h.entries_from(6, 1).empty());
   EXPECT_EQ(h.total_appended(), 10u);
 }
 
@@ -420,6 +426,202 @@ TEST_F(HistoryFirstFailure, JoinStampIsCheckedBeforeJoinRemovals) {
   // After a checkpoint every entry must come after the sealed round, so a
   // round-0 join fails the ordering check before any of its own checks.
   EXPECT_EQ(anchored, VerifyError::kRoundsNotAscending);
+}
+
+// ---------------------------------------------------------------------------
+// UpdateHistory stores entries as their encode_entry() bytes. The reference
+// below keeps decoded structs and folds entry_digest() over them; every
+// accessor must agree with it.
+// ---------------------------------------------------------------------------
+
+Bytes encoded(const HistoryEntry& e) {
+  wire::Writer w;
+  encode_entry(w, e);
+  return std::move(w).take();
+}
+
+PeerId random_peer(Rng& rng) {
+  PeerId p;
+  // Up to 40 characters: past the 15-byte small-string buffer.
+  const auto len = rng.uniform(41);
+  for (std::uint64_t i = 0; i < len; ++i) {
+    p.addr.push_back(static_cast<char>('a' + rng.uniform(26)));
+  }
+  for (auto& b : p.key) b = static_cast<std::uint8_t>(rng.next_u64());
+  return p;
+}
+
+std::vector<PeerId> random_peers(Rng& rng) {
+  std::vector<PeerId> out(rng.uniform(5));  // empty lists included
+  for (auto& p : out) p = random_peer(rng);
+  return out;
+}
+
+HistoryEntry random_entry(Rng& rng, Round round) {
+  HistoryEntry e;
+  e.kind = static_cast<EntryKind>(1 + rng.uniform(3));
+  e.self_round = round;
+  e.counterpart = random_peer(rng);
+  e.nonce = rng.next_u64();
+  e.signature.resize(rng.chance(0.5) ? 32 : 64);
+  for (auto& b : e.signature) b = static_cast<std::uint8_t>(rng.next_u64());
+  e.initiated = rng.chance(0.5);
+  if (e.kind == EntryKind::kLeave) {
+    e.out = {random_peer(rng)};
+  } else {
+    e.out = random_peers(rng);
+    e.in = random_peers(rng);
+    e.fill = random_peers(rng);
+  }
+  return e;
+}
+
+struct CopyingHistory {
+  std::vector<HistoryEntry> window;
+  std::uint64_t first = 0;
+  ChainDigest base{};
+  ChainDigest chain{};
+
+  std::uint64_t total() const { return first + window.size(); }
+
+  void append(const HistoryEntry& e) {
+    window.push_back(e);
+    chain = chain_step(chain, entry_digest(e));
+  }
+
+  void trim(std::size_t limit) {
+    while (window.size() > limit) {
+      base = chain_step(base, entry_digest(window.front()));
+      window.erase(window.begin());
+      ++first;
+    }
+  }
+
+  ChainDigest chain_at(std::uint64_t index) const {
+    ChainDigest c = base;
+    for (std::uint64_t i = first; i < index; ++i) {
+      c = chain_step(c, entry_digest(window[static_cast<std::size_t>(i - first)]));
+    }
+    return c;
+  }
+
+  std::vector<HistoryEntry> from(std::uint64_t index, std::size_t count) const {
+    if (index < first || index >= total()) return {};
+    const auto at = static_cast<std::size_t>(index - first);
+    const std::size_t n = std::min(count, window.size() - at);
+    return {window.begin() + static_cast<std::ptrdiff_t>(at),
+            window.begin() + static_cast<std::ptrdiff_t>(at + n)};
+  }
+};
+
+void expect_matches(const UpdateHistory& h, const CopyingHistory& ref, Rng& rng) {
+  ASSERT_EQ(h.first_index(), ref.first);
+  ASSERT_EQ(h.total_appended(), ref.total());
+  ASSERT_EQ(h.size(), ref.window.size());
+  ASSERT_EQ(h.empty(), ref.window.empty());
+  ASSERT_EQ(h.chain(), ref.chain);
+  ASSERT_EQ(h.base_chain(), ref.base);
+  ASSERT_EQ(h.entries_from(ref.first, ref.window.size()), ref.window);
+  const std::uint64_t index = rng.uniform(ref.total() + 3);
+  const std::size_t count = static_cast<std::size_t>(rng.uniform(ref.window.size() + 3));
+  ASSERT_EQ(h.entries_from(index, count), ref.from(index, count)) << index << "+" << count;
+  const std::uint64_t at = ref.first + rng.uniform(ref.window.size() + 1);
+  ASSERT_EQ(h.chain_at(at), ref.chain_at(at));
+  if (ref.window.empty()) return;
+  ASSERT_EQ(h.last_round(), ref.window.back().self_round);
+  const std::size_t pick = static_cast<std::size_t>(rng.uniform(ref.window.size()));
+  const HistoryEntry& e = ref.window[pick];
+  const Bytes bytes = encoded(e);
+  const BytesView stored = h.entry_bytes(ref.first + pick);
+  ASSERT_EQ(Bytes(stored.begin(), stored.end()), bytes);
+  ASSERT_EQ(h.find_round(e.self_round), ref.first + pick);
+  ASSERT_EQ(h.find_round(ref.window.back().self_round + 1), std::nullopt);
+}
+
+TEST(HistoryStore, MatchesCopyingReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    UpdateHistory h;
+    CopyingHistory ref;
+    Round round = 0;
+    for (int step = 0; step < 400; ++step) {
+      const auto op = rng.uniform(10);
+      if (op < 7) {
+        const HistoryEntry e = random_entry(rng, round);
+        round += 1 + rng.uniform(3);  // gaps: burned rounds
+        h.append(e);
+        ref.append(e);
+      } else if (op < 9) {
+        const auto limit = static_cast<std::size_t>(rng.uniform(24));
+        h.trim(limit);
+        ref.trim(limit);
+      } else {
+        // Recovery: compact to a random first_index and rebuild the window.
+        const std::uint64_t first = ref.first + rng.uniform(ref.window.size() + 1);
+        const ChainDigest base = ref.chain_at(first);
+        ref.trim(static_cast<std::size_t>(ref.total() - first));
+        ASSERT_EQ(ref.base, base);
+        h = UpdateHistory::restore(base, first, ref.window);
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_matches(h, ref, rng))
+          << "seed " << seed << " step " << step;
+    }
+    // A missing round between two retained ones is a miss too.
+    UpdateHistory gaps;
+    gaps.append(random_entry(rng, 4));
+    gaps.append(random_entry(rng, 6));
+    EXPECT_EQ(gaps.find_round(5), std::nullopt);
+    EXPECT_EQ(gaps.find_round(3), std::nullopt);
+    EXPECT_EQ(gaps.find_round(6), 1u);
+  }
+}
+
+TEST(HistoryStore, TrimmingOnePerAppendKeepsTheWindow) {
+  // The node's steady state: append, then trim to the limit.
+  Rng rng(7);
+  UpdateHistory h;
+  CopyingHistory ref;
+  for (Round r = 0; r < 500; ++r) {
+    const HistoryEntry e = random_entry(rng, r);
+    h.append(e);
+    ref.append(e);
+    h.trim(16);
+    ref.trim(16);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(h, ref, rng)) << "round " << r;
+  }
+}
+
+TEST(HistoryStore, MutatedEntryBytesFailClosed) {
+  // Every truncation and every byte flip of an encoded entry either throws
+  // wire::DecodeError or decodes to an entry that re-encodes to exactly the
+  // mutated bytes, so decoding through the reader's views fails closed.
+  // 1: decodes canonically; 0: decodes to other bytes; -1: DecodeError.
+  const auto decodes_canonically = [](const Bytes& input) {
+    try {
+      wire::Reader r(input);
+      const HistoryEntry e = decode_entry(r);
+      r.expect_done();
+      return encoded(e) == input ? 1 : 0;
+    } catch (const wire::DecodeError&) {
+      return -1;
+    }
+  };
+  Rng rng(11);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Bytes good = encoded(random_entry(rng, 3));
+    ASSERT_EQ(decodes_canonically(good), 1);
+    for (std::size_t len = 0; len < good.size(); ++len) {
+      const Bytes cut(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_EQ(decodes_canonically(cut), -1) << "truncated to " << len;
+    }
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        Bytes bad = good;
+        bad[i] ^= mask;
+        EXPECT_NE(decodes_canonically(bad), 0) << "byte " << i << " ^ " << int{mask};
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 
 #include "accountnet/core/node.hpp"
 #include "accountnet/util/rng.hpp"
+#include "test_util.hpp"
 
 namespace accountnet::core {
 namespace {
+
+using testing::retained;
 
 struct LeaveNet {
   LeaveNet() : net(sim, sim::netem_latency(), 321) {
@@ -68,7 +71,7 @@ TEST(GracefulLeave, PeersRecordDepartureQuickly) {
   std::size_t leave_entries = 0;
   for (auto* n : nodes) {
     if (n == leaver) continue;
-    for (const auto& e : n->state().history().entries()) {
+    for (const auto& e : retained(n->state().history())) {
       if (e.kind == EntryKind::kLeave && e.out.size() == 1 &&
           e.out.front() == gone) {
         ++leave_entries;
@@ -105,7 +108,7 @@ TEST(GracefulLeave, ForgedLeaveNoticeCannotEvictLiveNode) {
 
   for (auto* n : nodes) {
     if (n == victim) continue;
-    for (const auto& e : n->state().history().entries()) {
+    for (const auto& e : retained(n->state().history())) {
       if (e.kind == EntryKind::kLeave) {
         EXPECT_FALSE(e.out.front() == victim->id())
             << n->id().addr << " recorded a forged leave";
@@ -165,7 +168,7 @@ TEST(GracefulLeave, LeaveShowsUpInMetrics) {
     const auto id = n->metrics().find("node.leaves_reported");
     ASSERT_TRUE(id.has_value());
     EXPECT_EQ(n->stats().leaves_reported, n->metrics().counter_value(*id));
-    for (const auto& e : n->state().history().entries()) {
+    for (const auto& e : retained(n->state().history())) {
       if (e.kind == EntryKind::kLeave && e.out.size() == 1 &&
           e.out.front() == leaver->id()) {
         ++recorded;

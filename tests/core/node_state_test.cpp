@@ -9,6 +9,7 @@ namespace accountnet::core {
 namespace {
 
 using testing::make_node;
+using testing::retained;
 
 class NodeStateFixture : public ::testing::Test {
  protected:
@@ -38,8 +39,9 @@ TEST_F(NodeStateFixture, JoinCapsInitialPeersetAtF) {
   EXPECT_EQ(node->peerset().size(), 3u);
   EXPECT_EQ(node->round(), 1u);
   ASSERT_EQ(node->history().size(), 1u);
-  EXPECT_EQ(node->history().back().kind, EntryKind::kJoin);
-  EXPECT_EQ(node->history().back().in.size(), 3u);
+  const HistoryEntry join = retained(node->history()).back();
+  EXPECT_EQ(join.kind, EntryKind::kJoin);
+  EXPECT_EQ(join.in.size(), 3u);
 }
 
 TEST_F(NodeStateFixture, JoinSkipsSelf) {
@@ -93,11 +95,11 @@ TEST_F(NodeStateFixture, LeaveReportRoundTrip) {
   holder->apply_leave_report(reporter->self(), round, sig, leaver->self());
   EXPECT_FALSE(holder->peerset().contains(leaver->self()));
   EXPECT_EQ(holder->round(), before + 1);
-  const auto& entry = holder->history().back();
+  const HistoryEntry entry = retained(holder->history()).back();
   EXPECT_EQ(entry.kind, EntryKind::kLeave);
   EXPECT_EQ(entry.out.size(), 1u);
   // The full history (join + leave) passes third-party verification.
-  EXPECT_TRUE(verify_history_suffix(holder->history().entries(), holder->self(),
+  EXPECT_TRUE(verify_history_suffix(retained(holder->history()), holder->self(),
                                     holder->peerset(), *provider_));
 }
 
@@ -110,7 +112,7 @@ TEST_F(NodeStateFixture, LeaveReportRecordedEvenIfNotAPeer) {
   holder->init_as_seed();
   const auto [round, sig] = reporter->make_leave_report(stranger->self());
   holder->apply_leave_report(reporter->self(), round, sig, stranger->self());
-  EXPECT_EQ(holder->history().back().kind, EntryKind::kLeave);
+  EXPECT_EQ(retained(holder->history()).back().kind, EntryKind::kLeave);
 }
 
 TEST_F(NodeStateFixture, SkipRoundBurnsWithoutEntry) {

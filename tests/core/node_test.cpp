@@ -3,6 +3,9 @@
 // all over the simulated 20 ms fabric with real protocol verification.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "accountnet/core/node.hpp"
 #include "accountnet/util/rng.hpp"
 
@@ -401,6 +404,63 @@ TEST(Node, DestructionDetachesFromFabric) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(nodes[i]->joined()) << i;
   }
+}
+
+TEST(Node, EntryQueryRepliesWithTheStoredEntryBytes) {
+  // The Sec. IV-A old-entry lookup, byte for byte: a retained round is
+  // answered with request ‖ 1 ‖ encode_entry(entry); a trimmed round and a
+  // round the node never had are answered with request ‖ 0.
+  NodeNet nn;
+  nn.config_.protocol.history_limit = 4;
+  auto nodes = nn.build(6, sim::seconds(40));
+  Node& target = *nodes[2];
+  target.adversary().refuse_shuffles = true;  // freeze its history
+  nn.sim_.run_until(nn.sim_.now() + sim::seconds(10));
+  const UpdateHistory& h = target.state().history();
+  const std::uint64_t appended = h.total_appended();
+  ASSERT_GT(h.first_index(), 0u) << "the round-0 join entry must have been trimmed";
+  ASSERT_EQ(h.size(), 4u);
+
+  std::map<std::uint64_t, Bytes> replies;
+  nn.net_.attach("probe", [&](const sim::NetMessage& m) {
+    if (m.type != static_cast<std::uint32_t>(MsgType::kEntryReply)) return;
+    replies[wire::Reader(m.payload).u64()] = m.payload;
+  });
+  const auto query = [&](std::uint64_t request, Round round) {
+    wire::Writer w;
+    w.u64(request);
+    w.u64(round);
+    const auto type = static_cast<std::uint32_t>(MsgType::kEntryQuery);
+    nn.net_.send({"probe", target.id().addr, type, std::move(w).take(), {}});
+  };
+  const auto hit = [](std::uint64_t request, const HistoryEntry& e) {
+    wire::Writer w;
+    w.u64(request);
+    w.u8(1);
+    encode_entry(w, e);
+    return std::move(w).take();
+  };
+  const auto miss = [](std::uint64_t request) {
+    wire::Writer w;
+    w.u64(request);
+    w.u8(0);
+    return std::move(w).take();
+  };
+  const std::vector<HistoryEntry> window = h.entries_from(h.first_index(), h.size());
+  query(1, window.front().self_round);
+  query(2, window[2].self_round);
+  query(3, window.back().self_round);
+  query(4, 0);                            // the join entry, trimmed away
+  query(5, target.state().round() + 100);  // never made
+  nn.sim_.run_until(nn.sim_.now() + sim::seconds(2));
+
+  ASSERT_EQ(h.total_appended(), appended);
+  ASSERT_EQ(replies.size(), 5u);
+  EXPECT_EQ(replies[1], hit(1, window.front()));
+  EXPECT_EQ(replies[2], hit(2, window[2]));
+  EXPECT_EQ(replies[3], hit(3, window.back()));
+  EXPECT_EQ(replies[4], miss(4));
+  EXPECT_EQ(replies[5], miss(5));
 }
 
 }  // namespace

@@ -164,7 +164,7 @@ TEST_F(ResolverFixture, HistoryEntryLookupService) {
   // The Sec. IV-A old-entry lookup over the wire.
   Node& asker = *rn_.nodes[30];
   Node& target = *rn_.nodes[1];
-  const Round round = target.state().history().back().self_round;
+  const Round round = target.state().history().last_round();
   std::optional<HistoryEntry> got;
   bool answered = false;
   asker.request_history_entry(target.id().addr, round, [&](std::optional<HistoryEntry> e) {

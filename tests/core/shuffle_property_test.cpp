@@ -12,6 +12,7 @@ namespace accountnet::core {
 namespace {
 
 using testing::make_node;
+using testing::retained;
 using testing::run_shuffle;
 
 struct Params {
@@ -87,12 +88,12 @@ TEST_P(ShuffleInvariants, HoldAcrossManyRounds) {
   // Invariant 5: out/in cross-consistency between the last entries of any
   // shuffle pair (the audit of Sec. IV-A "Peerset verification").
   for (auto& [addr, node] : nodes) {
-    for (const auto& e : node->history().entries()) {
+    for (const auto& e : retained(node->history())) {
       if (e.kind != EntryKind::kShuffle) continue;
       const auto it = nodes.find(e.counterpart.addr);
       if (it == nodes.end()) continue;
       // Find the matching entry on the counterpart (nonce == its round).
-      for (const auto& ce : it->second->history().entries()) {
+      for (const auto& ce : retained(it->second->history())) {
         if (ce.kind != EntryKind::kShuffle || !(ce.counterpart == node->self()))
           continue;
         if (ce.self_round != e.nonce) continue;

@@ -107,8 +107,8 @@ TEST_F(ShuffleFixture, HistoryEntriesMatchPaperExample) {
 
     ASSERT_EQ(run_shuffle(*node, partner, *provider_), "");
 
-    const HistoryEntry& wi = node->history().back();
-    const HistoryEntry& wj = partner.history().back();
+    const HistoryEntry wi = testing::retained(node->history()).back();
+    const HistoryEntry wj = testing::retained(partner.history()).back();
     EXPECT_TRUE(wi.initiated);
     EXPECT_FALSE(wj.initiated);
     EXPECT_EQ(wi.counterpart, partner.self());

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "accountnet/core/shuffle.hpp"
 #include "accountnet/util/rng.hpp"
@@ -58,12 +59,22 @@ inline std::string run_shuffle_any(NodeState& a, NodeMap& nodes,
   return run_shuffle(a, *it->second, provider);
 }
 
+/// Every retained entry of `h`, oldest first.
+inline std::vector<HistoryEntry> retained(const UpdateHistory& h) {
+  return h.entries_from(h.first_index(), h.size());
+}
+
+/// The newest `k <= h.size()` entries of `h`, oldest first.
+inline std::vector<HistoryEntry> newest(const UpdateHistory& h, std::size_t k) {
+  return h.entries_from(h.total_appended() - k, k);
+}
+
 /// Copying reference for the minimal proof length: the smallest k whose
 /// copied suffix replays from ∅ to `current`, or size() + 1 if none does.
 inline std::size_t reference_minimal_suffix(const UpdateHistory& h,
                                             const Peerset& current) {
   for (std::size_t k = 0; k <= h.size(); ++k) {
-    if (UpdateHistory::reconstruct(h.suffix(k)) == current) return k;
+    if (UpdateHistory::reconstruct(newest(h, k)) == current) return k;
   }
   return h.size() + 1;
 }
@@ -76,13 +87,13 @@ inline HistoryProof reference_proof(const NodeState& state) {
   const std::size_t k = reference_minimal_suffix(h, state.peerset());
   HistoryProof proof;
   if (k <= h.size()) {
-    proof.suffix = h.suffix(k);
+    proof.suffix = newest(h, k);
   } else if (state.checkpoint()) {
     proof.anchor = state.checkpoint();
-    proof.suffix = h.suffix(
-        static_cast<std::size_t>(h.total_appended() - state.checkpoint()->sealed_count));
+    proof.suffix = newest(
+        h, static_cast<std::size_t>(h.total_appended() - state.checkpoint()->sealed_count));
   } else {
-    proof.suffix = h.suffix(h.size());
+    proof.suffix = retained(h);
   }
   return proof;
 }

@@ -72,6 +72,13 @@ TEST(Codec, RawRoundTrip) {
   Reader r(w.data());
   EXPECT_EQ(r.raw(3), (Bytes{9, 8, 7}));
   EXPECT_TRUE(r.done());
+  // view() reads the same bytes in place, without copying.
+  Reader v(w.data());
+  const BytesView got = v.view(2);
+  EXPECT_EQ(got.data(), w.data().data());
+  EXPECT_EQ(Bytes(got.begin(), got.end()), (Bytes{9, 8}));
+  EXPECT_EQ(v.view(1)[0], 7);
+  EXPECT_TRUE(v.done());
 }
 
 TEST(Codec, TruncatedInputThrows) {
@@ -79,6 +86,10 @@ TEST(Codec, TruncatedInputThrows) {
   w.u64(42);
   Reader r(BytesView(w.data().data(), 7));
   EXPECT_THROW(r.u64(), DecodeError);
+  EXPECT_THROW(r.view(8), DecodeError);
+  EXPECT_THROW(r.raw(8), DecodeError);
+  EXPECT_EQ(r.view(7).size(), 7u);
+  EXPECT_THROW(r.view(1), DecodeError);
 }
 
 TEST(Codec, TruncatedVarintThrows) {
@@ -98,6 +109,8 @@ TEST(Codec, ByteStringLengthLieThrows) {
   w.varint(1000);
   Reader r(w.data());
   EXPECT_THROW(r.bytes(), DecodeError);
+  Reader v(w.data());
+  EXPECT_THROW(v.bytes_view(), DecodeError);
 }
 
 TEST(Codec, ExpectDoneThrowsOnTrailing) {
@@ -114,6 +127,9 @@ TEST(Codec, TakeMovesBuffer) {
   w.u8(5);
   const Bytes b = std::move(w).take();
   EXPECT_EQ(b, Bytes{5});
+  Writer more(b);  // appends after the bytes it is given
+  more.u8(6);
+  EXPECT_EQ(more.data(), (Bytes{5, 6}));
 }
 
 }  // namespace
